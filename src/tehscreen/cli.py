@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, inference
-from .config import PipelineConfig, load_json, synthetic_spec_from_dict
+from .config import PipelineConfig, load_json, load_study, synthetic_spec_from_dict
 from .data_model import generate_trial, load_csv, write_csv
 from .errors import ConfigError, DataError, TehScreenError
 from .pca import compute_pca
@@ -141,15 +141,6 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _truncated(screen, k):
-    if screen.projection is not None:
-        k = min(k, screen.projection.shape[1])
-        return dataclasses.replace(
-            screen, k_selected=k, projection=screen.projection[:, :k]
-        )
-    return dataclasses.replace(screen, k_selected=min(k, len(screen.ranking)))
-
-
 def cmd_sweep_k(args):
     cfg_dict = load_json(args.config)
     cfg = PipelineConfig.from_dict(cfg_dict)
@@ -172,7 +163,7 @@ def cmd_sweep_k(args):
 
     table = []
     for k in k_values:
-        test = inference.test_interaction(data, cfg.family, _truncated(base, k))
+        test = inference.test_interaction(data, cfg.family, base.truncate(k))
         table.append(
             {
                 "k_requested": k, "df": test.df, "statistic": test.statistic,
@@ -267,19 +258,7 @@ def cmd_validate_theorem(args):
 
 def cmd_power_study(args):
     cfg_dict = load_json(args.config)
-    if "spec" not in cfg_dict:
-        raise ConfigError("missing config field 'spec'")
-    spec = synthetic_spec_from_dict(cfg_dict["spec"])
-    methods_block = cfg_dict.get("methods")
-    if not isinstance(methods_block, list) or not methods_block:
-        raise ConfigError("missing config field 'methods' (a nonempty list)")
-    methods = []
-    for i, m in enumerate(methods_block):
-        if not isinstance(m, dict):
-            raise ConfigError(f"methods[{i}] must be an object")
-        entry = dict(m)
-        entry.setdefault("family", cfg_dict["spec"].get("family"))
-        methods.append(PipelineConfig.from_dict(entry))
+    spec, methods = load_study(cfg_dict)
     reps = cfg_dict.get("reps", 1000)
     if not isinstance(reps, int) or reps < 10:
         raise ConfigError("config field 'reps' must be an integer >= 10")

@@ -171,3 +171,24 @@ def synthetic_spec_from_dict(d: dict) -> SyntheticSpec:
         noise_sd=_optional(d, "noise_sd", float, 1.0, "spec."),
         seed=_optional(d, "seed", int, 0, "spec."),
     )
+
+
+def load_study(cfg: dict):
+    """Parse a power-study config: (synthetic spec, [PipelineConfig per method]).
+
+    Each method inherits the spec's family unless it names its own.
+    """
+    if "spec" not in cfg:
+        raise ConfigError("missing config field 'spec'")
+    spec = synthetic_spec_from_dict(cfg["spec"])
+    methods_block = cfg.get("methods")
+    if not isinstance(methods_block, list) or not methods_block:
+        raise ConfigError("missing config field 'methods' (a nonempty list)")
+    methods = []
+    for i, m in enumerate(methods_block):
+        if not isinstance(m, dict):
+            raise ConfigError(f"methods[{i}] must be an object")
+        entry = dict(m)
+        entry.setdefault("family", cfg["spec"].get("family"))
+        methods.append(PipelineConfig.from_dict(entry))
+    return spec, methods

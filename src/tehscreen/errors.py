@@ -51,9 +51,5 @@ class DegenerateVarianceError(NumericalError):
     """A standardized quantity has zero variance."""
 
 
-class EmptyScreenError(NumericalError):
-    """Substage-I selected no variables."""
-
-
 class NullSimulationError(NumericalError):
     """Too many replicate failures for the null distribution to be reliable."""

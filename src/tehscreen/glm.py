@@ -9,15 +9,18 @@ Both designs use the two-arm-intercept parameterization: columns are
 [candidate block | arm-A indicator | arm-B indicator | adjusters], which is
 equivalent to a single intercept plus a treatment main effect.
 
-Rank repair: any Gram-matrix pivot below RANK_TOL times the largest diagonal
-drops that column. Later columns lose to earlier ones, so duplicates are
-removed deterministically; drops are recorded, never silent.
+Rank repair: design builds and IRLS solves share one rank-revealing
+Cholesky of the Gram matrix. A single LAPACK factorization is accepted when
+every pivot exceeds RANK_TOL times the largest diagonal; otherwise a
+sequential pass drops each column whose pivot is at or below that threshold.
+Later columns lose to earlier ones, so duplicates are removed
+deterministically; drops are recorded, never silent.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .data_model import TrialDataset
 from .errors import (
@@ -74,10 +77,6 @@ class DesignMatrix:
     def roles(self):
         return tuple(_ROLE_OF[o[0]] for o in self.origin)
 
-    def columns_of(self, kind):
-        """Retained column indices whose origin starts with ``kind``."""
-        return [k for k, o in enumerate(self.origin) if o[0] == kind]
-
 
 @dataclass(frozen=True)
 class GlmFit:
@@ -99,69 +98,66 @@ class GlmFit:
     dropped_columns: tuple = ()
     origin: tuple = ()
 
+    def role(self, *prefix):
+        """Columns kept through the fit whose origin key starts with ``prefix``.
 
-def _rank_repair(matrix, tol=RANK_TOL):
-    """Sequentially Cholesky the Gram matrix, dropping pivot-deficient columns.
+        Returns (keys, columns): ``keys[i]`` is the origin element after the
+        prefix for column ``columns[i]`` -- the candidate or adjuster index,
+        the arm letter of an arm intercept, or the candidate index under
+        ("arm_candidate", arm).
+        """
+        n = len(prefix)
+        dropped = set(self.dropped_columns)
+        pairs = [(o[n], k) for k, o in enumerate(self.origin)
+                 if o[:n] == prefix and k not in dropped]
+        return tuple(key for key, _ in pairs), np.array([k for _, k in pairs], dtype=np.intp)
 
-    Returns (kept_indices, dropped_indices). Earlier columns win ties, so the
-    later members of a collinear group are the ones removed.
+    def wald_z(self, p):
+        """Wald z = coefficient / SE by candidate index; NaN where the column is gone or SE is 0."""
+        keys, cols = self.role("candidate")
+        se = self.std_errors[cols]
+        ok = se > 0.0
+        z = np.full(p, np.nan)
+        z[np.asarray(keys, dtype=np.intp)[ok]] = self.coefficients[cols[ok]] / se[ok]
+        return z
+
+
+def _cholesky(gram, tol=RANK_TOL):
+    """Rank-revealing Cholesky: (L, kept) with L @ L.T == gram[kept][:, kept].
+
+    The fast path is one LAPACK factorization; the sequential fallback runs
+    only when a pivot is at or below ``tol`` times the largest diagonal, and
+    drops exactly those columns, so earlier columns win ties.
     """
-    gram = matrix.T @ matrix
-    return _rank_repair_gram(gram, tol)
-
-
-def _rank_repair_gram(gram, tol=RANK_TOL):
     q = gram.shape[0]
-    max_diag = float(np.max(gram.diagonal(), initial=0.0))
-    if max_diag <= 0.0:
-        return [], list(range(q))
-    threshold = tol * max_diag
+    threshold = tol * float(np.max(gram.diagonal(), initial=0.0))
+    if threshold <= 0.0:
+        return np.empty((0, 0)), []
+    try:
+        L = np.linalg.cholesky(gram)
+        if np.min(np.diag(L) ** 2) > threshold:
+            return L, list(range(q))
+    except np.linalg.LinAlgError:
+        pass
     kept = []
-    dropped = []
     L = np.zeros((q, q))
     for j in range(q):
         k = len(kept)
-        if k:
-            row = np.linalg.solve(L[:k, :k], gram[kept, j])
-        else:
-            row = np.empty(0)
+        row = np.linalg.solve(L[:k, :k], gram[kept, j]) if k else np.empty(0)
         pivot = gram[j, j] - row @ row
-        if pivot <= threshold:
-            dropped.append(j)
-            continue
-        L[k, :k] = row
-        L[k, k] = np.sqrt(pivot)
-        kept.append(j)
-    return kept, dropped
-
-
-def _solve_gram(gram, rhs, tol=RANK_TOL):
-    """Solve gram @ x = rhs with pivot-based column dropping.
-
-    Returns (x with zeros at drops, kept index list). The fast path is a
-    plain Cholesky; the sequential fallback runs only when a pivot fails.
-    """
-    q = gram.shape[0]
-    try:
-        L = np.linalg.cholesky(gram)
-        pivots = np.diag(L) ** 2
-        if np.min(pivots) > tol * np.max(gram.diagonal()):
-            x = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-            return x, list(range(q))
-    except np.linalg.LinAlgError:
-        pass
-    kept, _ = _rank_repair_gram(gram, tol)
-    x = np.zeros(q)
-    if kept:
-        sub = gram[np.ix_(kept, kept)]
-        x[kept] = np.linalg.solve(sub, rhs[kept])
-    return x, kept
+        if pivot > threshold:
+            L[k, :k] = row
+            L[k, k] = np.sqrt(pivot)
+            kept.append(j)
+    k = len(kept)
+    return L[:k, :k], kept
 
 
 def make_design(columns, origin, names) -> DesignMatrix:
     """Assemble a design from columns and apply rank repair."""
     matrix = np.column_stack(columns) if columns else np.empty((0, 0))
-    kept, dropped = _rank_repair(matrix)
+    _, kept = _cholesky(matrix.T @ matrix)
+    dropped = sorted(set(range(matrix.shape[1])).difference(kept))
     return DesignMatrix(
         matrix=np.ascontiguousarray(matrix[:, kept]),
         origin=tuple(origin[k] for k in kept),
@@ -235,10 +231,11 @@ def build_interaction_design(data: TrialDataset, selected=None, projection=None)
 def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_RTOL) -> GlmFit:
     """Maximize the likelihood by IRLS with step halving.
 
-    The gaussian-identity case is a single weighted-least-squares step and
-    reproduces the normal-equations solution; the binomial case iterates to
-    a relative log-likelihood change below ``tol``. Perfect separation is
-    reported as an error rather than returned as a silently diverged fit.
+    The gaussian-identity case stops after its single least-squares step,
+    which is the exact maximum of the profiled likelihood; the binomial case
+    iterates to a relative log-likelihood change below ``tol``. Perfect
+    separation is reported as an error rather than returned as a silently
+    diverged fit.
     """
     X = design.matrix
     y = np.asarray(y, dtype=float)
@@ -255,7 +252,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
     ll = family.log_likelihood(y, mu)
     converged = False
     iterations = 0
-    dropped: set = set()
+    keep = list(range(q))  # columns rank repair has not dropped yet
 
     for iterations in range(1, max_iter + 1):
         mu_safe = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS) if family is not GAUSSIAN else mu
@@ -267,15 +264,15 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
         Xw = X * w[:, None]
         gram = X.T @ Xw
         rhs = Xw.T @ z
-        if dropped:
-            keep = [j for j in range(q) if j not in dropped]
-            beta_new = np.zeros(q)
-            sub, kept_sub = _solve_gram(gram[np.ix_(keep, keep)], rhs[keep])
-            beta_new[keep] = sub
-            dropped.update(j for i, j in enumerate(keep) if i not in kept_sub)
-        else:
-            beta_new, kept = _solve_gram(gram, rhs)
-            dropped.update(j for j in range(q) if j not in kept)
+        L, kept = _cholesky(gram[np.ix_(keep, keep)])
+        keep = [keep[i] for i in kept]
+        beta_new = np.zeros(q)
+        beta_new[keep] = np.linalg.solve(L.T, np.linalg.solve(L, rhs[keep]))
+        if family is GAUSSIAN:
+            beta, eta = beta_new, X @ beta_new
+            mu, ll = eta, family.log_likelihood(y, eta)
+            converged = True
+            break
 
         step = beta_new - beta
         scale = 1.0
@@ -318,7 +315,6 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
     w_final = family.irls_weights(np.clip(mu, _MU_EPS, 1.0 - _MU_EPS) if family is not GAUSSIAN else mu)
     gram = X.T @ (X * w_final[:, None])
     dispersion = family.dispersion(y, mu)
-    keep = [j for j in range(q) if j not in dropped]
     covariance = np.zeros((q, q))
     if keep:
         sub = gram[np.ix_(keep, keep)]
@@ -338,7 +334,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
         deviance=family.deviance(y, mu),
         iterations=iterations,
         converged=converged,
-        dropped_columns=tuple(sorted(dropped)),
+        dropped_columns=tuple(sorted(set(range(q)).difference(keep))),
         origin=design.origin,
     )
 
@@ -366,7 +362,7 @@ def lrt(null_fit: GlmFit, alt_fit: GlmFit, df: int):
             f"alternative log-likelihood below null by {-statistic / 2:.3g}: models are not nested"
         )
     statistic = max(statistic, 0.0)
-    return statistic, float(chi2.sf(statistic, df))
+    return statistic, float(chdtrc(df, statistic))
 
 
 def standardized_arm_difference(interaction_fit: GlmFit, k: int) -> np.ndarray:
@@ -376,19 +372,15 @@ def standardized_arm_difference(interaction_fit: GlmFit, k: int) -> np.ndarray:
     dropped by rank repair come back as NaN; an exactly zero SE on retained
     columns is an error.
     """
-    origin = interaction_fit.origin
-    pos = {}
-    for idx, o in enumerate(origin):
-        if o[0] == "arm_candidate":
-            pos[(o[1], o[2])] = idx
+    arm_a = dict(zip(*interaction_fit.role("arm_candidate", "A")))
+    arm_b = dict(zip(*interaction_fit.role("arm_candidate", "B")))
     out = np.full(k, np.nan)
     coef = interaction_fit.coefficients
     cov = interaction_fit.covariance
-    dropped = set(interaction_fit.dropped_columns)
     for j in range(k):
-        ia, ib = pos.get(("A", j)), pos.get(("B", j))
-        if ia is None or ib is None or ia in dropped or ib in dropped:
+        if j not in arm_a or j not in arm_b:
             continue
+        ia, ib = arm_a[j], arm_b[j]
         se2 = cov[ia, ia] + cov[ib, ib] - 2.0 * cov[ia, ib]
         if se2 <= 0.0:
             raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")

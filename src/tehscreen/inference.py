@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kstest
 
 from . import glm, screening as scr
 from .config import PipelineConfig
@@ -141,22 +140,21 @@ def _additive_predictor_parts(data: TrialDataset, family: Family):
     """
     design = glm.build_additive_design(data)
     fit = glm.fit(design, data.y, family)
+    coef = fit.coefficients
     beta_cand = np.zeros(data.p)
     beta_adj = np.zeros(data.p_c)
-    a_arm = {"A": 0.0, "B": 0.0}
-    for idx, o in enumerate(fit.origin):
-        if o[0] == "candidate":
-            beta_cand[o[1]] = fit.coefficients[idx]
-        elif o[0] == "adjust":
-            beta_adj[o[1]] = fit.coefficients[idx]
-        elif o[0] == "arm_intercept":
-            a_arm[o[1]] = fit.coefficients[idx]
+    keys, cols = fit.role("candidate")
+    beta_cand[list(keys)] = coef[cols]
+    keys, cols = fit.role("adjust")
+    beta_adj[list(keys)] = coef[cols]
+    arm = dict(zip(*fit.role("arm_intercept")))
+    a_A, a_B = (coef[arm[a]] if a in arm else 0.0 for a in "AB")
     eta_base = data.x_candidates @ beta_cand
     if data.p_c:
         eta_base = eta_base + data.x_adjust @ beta_adj
     sigma = np.sqrt(GAUSSIAN.dispersion(data.y, design.matrix @ fit.coefficients)) \
         if family is GAUSSIAN else 0.0
-    return eta_base, a_arm["A"], a_arm["B"], sigma
+    return eta_base, a_A, a_B, sigma
 
 
 def simulate_null(
@@ -228,15 +226,6 @@ def correct_pvalue(p_raw: float, null: NullDistribution) -> float:
     return (1.0 + count) / (null.reps + 1.0)
 
 
-def _standardized_candidates(fit: glm.GlmFit, p: int):
-    out = np.full(p, np.nan)
-    dropped = set(fit.dropped_columns)
-    for idx, o in enumerate(fit.origin):
-        if o[0] == "candidate" and idx not in dropped and fit.std_errors[idx] > 0:
-            out[o[1]] = fit.coefficients[idx] / fit.std_errors[idx]
-    return out
-
-
 def _cross_correlation(a, b):
     """Column-by-column correlation between two replicate matrices."""
     az = (a - a.mean(axis=0)) / a.std(axis=0, ddof=1)
@@ -245,7 +234,12 @@ def _cross_correlation(a, b):
 
 
 def uniform_ks_distance(pvalues) -> float:
-    return float(kstest(np.asarray(pvalues), "uniform").statistic)
+    """Two-sided Kolmogorov-Smirnov distance of the p-values from U(0, 1)."""
+    u = np.clip(np.sort(np.asarray(pvalues, dtype=float)), 0.0, 1.0)
+    n = u.shape[0]
+    d_plus = np.max(np.arange(1.0, n + 1) / n - u)
+    d_minus = np.max(u - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus))
 
 
 def validate_theorem(
@@ -276,7 +270,7 @@ def validate_theorem(
             d = d.with_candidates(d.x_candidates @ projection, names)
         add_fit = glm.fit(glm.build_additive_design(d), d.y, family)
         alt_fit = glm.fit(glm.build_interaction_design(d), d.y, family)
-        betas = _standardized_candidates(add_fit, d.p)
+        betas = add_fit.wald_z(d.p)
         diffs = glm.standardized_arm_difference(alt_fit, d.p)
         screen = scr.rank_full_model(d, family, k=min(k_screen, d.p))
         p_screened = test_interaction(d, family, screen).p_raw

@@ -12,10 +12,10 @@ lower covariate index.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import boosting, glm, lasso
 from .data_model import TrialDataset
@@ -52,6 +52,13 @@ class ScreeningResult:
     def selected(self):
         return list(self.ranking[: self.k_selected])
 
+    def truncate(self, k):
+        """The same screen handing only its leading ``k`` entries to Stage-2."""
+        if self.projection is not None:
+            k = min(k, self.projection.shape[1])
+            return replace(self, k_selected=k, projection=self.projection[:, :k])
+        return replace(self, k_selected=min(k, len(self.ranking)))
+
 
 def k_schedule(n: int, rule: str, params: dict | None = None) -> int:
     """Pre-specified Stage-2 dimension as a pure function of n.
@@ -84,26 +91,17 @@ def _order_by_pvalue(pvalues):
     return tuple(sorted(range(len(pvalues)), key=lambda j: (pvalues[j], j)))
 
 
-def _wald_pvalues(fit: glm.GlmFit):
-    """Two-sided Wald p per candidate; rank-repaired candidates get p = 1."""
-    pos = {o[1]: idx for idx, o in enumerate(fit.origin) if o[0] == "candidate"}
-    dropped = set(fit.dropped_columns)
-    out = {}
-    for j, idx in pos.items():
-        se = fit.std_errors[idx]
-        if idx in dropped or se <= 0.0:
-            out[j] = 1.0
-        else:
-            out[j] = float(2.0 * norm.sf(abs(fit.coefficients[idx] / se)))
-    return out
+def _wald_pvalues(fit: glm.GlmFit, p: int):
+    """Two-sided Wald p per candidate index; rank-repaired candidates get p = 1."""
+    z = fit.wald_z(p)
+    return np.where(np.isnan(z), 1.0, 2.0 * ndtr(-np.abs(z))).tolist()
 
 
 def rank_full_model(data: TrialDataset, family: Family, k: int | None = None) -> ScreeningResult:
     """Order candidates by the Wald p-value of their pooled main effect."""
     design = glm.build_additive_design(data)
     fit = glm.fit(design, data.y, family)
-    by_candidate = _wald_pvalues(fit)
-    pvalues = [by_candidate.get(j, 1.0) for j in range(data.p)]
+    pvalues = _wald_pvalues(fit, data.p)
     ranking = _order_by_pvalue(pvalues)
     return ScreeningResult(
         method="full_model",
@@ -136,7 +134,7 @@ def rank_univariate(data: TrialDataset, family: Family, k: int | None = None) ->
         )
         try:
             fit = glm.fit(design, data.y, family)
-            pvalues.append(_wald_pvalues(fit).get(0, 1.0))
+            pvalues.append(_wald_pvalues(fit, 1)[0])
         except TehScreenError as exc:
             pvalues.append(np.inf)  # fit failure ranks last
             failures.append({"candidate": j, "error": str(exc)})
@@ -312,9 +310,8 @@ def irm_risk_projection(
         design = glm.make_design(cols, origin, names)
     fit = glm.fit(design, data.y, family)
     beta = np.zeros(data.p)
-    for idx, o in enumerate(fit.origin):
-        if o[0] == "candidate":
-            beta[o[1]] = fit.coefficients[idx]
+    keys, cols = fit.role("candidate")
+    beta[list(keys)] = fit.coefficients[cols]
     return ScreeningResult(
         method="irm",
         ranking=(0,),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tehscreen as ts
-from tehscreen.config import PipelineConfig, synthetic_spec_from_dict
+from tehscreen.config import PipelineConfig, load_study
 from tehscreen.inference import uniform_ks_distance
 
 from _oracles import (
@@ -45,12 +45,7 @@ def fixed_cfg(method, k, family="gaussian", **screening_extra):
 def load_scenario(name):
     with open(SCENARIOS / name, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    spec = synthetic_spec_from_dict(cfg["spec"])
-    methods = []
-    for m in cfg["methods"]:
-        entry = dict(m)
-        entry.setdefault("family", cfg["spec"]["family"])
-        methods.append(PipelineConfig.from_dict(entry))
+    spec, methods = load_study(cfg)
     return cfg, spec, methods
 
 

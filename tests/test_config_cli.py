@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,7 +340,6 @@ def test_sweep_detects_interaction_at_its_rank():
     import dataclasses
 
     from tehscreen import inference
-    from tehscreen.cli import _truncated
 
     base = ts.SyntheticSpec(
         n=400, p=8, family=ts.GAUSSIAN,
@@ -351,7 +354,7 @@ def test_sweep_detects_interaction_at_its_rank():
         d = ts.generate_trial(dataclasses.replace(base, seed=ts.derive_seed(7117, r)))
         screen = inference.run_screening(d, cfg, 8, seed=0)
         p_at = {
-            k: inference.test_interaction(d, ts.GAUSSIAN, _truncated(screen, k)).p_raw
+            k: inference.test_interaction(d, ts.GAUSSIAN, screen.truncate(k)).p_raw
             for k in (5, 6)
         }
         if p_at[6] < p_at[5]:
@@ -367,3 +370,14 @@ def test_cli_seed_override_changes_generate(tmp_path):
     assert cli.main(["generate", "--config", str(gen_path), "--out", str(a)]) == 0
     assert cli.main(["generate", "--config", str(gen_path), "--out", str(b), "--seed", "2"]) == 0
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, tehscreen.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

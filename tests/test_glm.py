@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tehscreen as ts
 from tehscreen import glm
@@ -65,6 +69,35 @@ def test_additive_design_drops_duplicate_candidate():
     assert design.width == 3
     assert design.dropped_columns == (1,)
     assert design.dropped_origin == (("candidate", 1),)
+
+
+_COPY = st.tuples(
+    st.integers(0, 5),  # source column (mod the base width)
+    st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),  # scale
+    st.none() | st.floats(-14.0, -6.0),  # log10 noise; None = exact copy
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 6),
+       copies=st.lists(_COPY, max_size=5))
+def test_cholesky_fast_path_keeps_the_columns_of_the_sequential_fallback(seed, width, copies):
+    rng = np.random.default_rng(seed)
+    n = 40
+    base = rng.standard_normal((n, width))
+    columns = list(base.T)
+    for source, scale, log_noise in copies:
+        column = scale * base[:, source % width]
+        if log_noise is not None:
+            column = column + 10.0**log_noise * rng.standard_normal(n)
+        columns.append(column)
+    origin = [("candidate", j) for j in range(len(columns))]
+    names = [f"v{j}" for j in range(len(columns))]
+    design = glm.make_design(columns, origin, names)
+    with mock.patch.object(np.linalg, "cholesky", side_effect=np.linalg.LinAlgError):
+        sequential = glm.make_design(columns, origin, names)
+    assert design.dropped_columns == sequential.dropped_columns
+    assert design.dropped_columns == tuple(range(width, len(columns)))
 
 
 def test_additive_design_appends_adjusters():
@@ -266,6 +299,15 @@ def test_lrt_chi_square_quantile():
     statistic, p = ts.lrt(null, alt, 1)
     assert statistic == pytest.approx(3.841459)
     assert p == pytest.approx(0.05, abs=1e-5)
+
+
+@pytest.mark.parametrize("df", [1, 5, 25, 52])
+def test_lrt_pvalue_equals_scipy_chi2_sf(df):
+    from scipy.stats import chi2
+
+    for statistic in (0.0, 1e-3, 0.5 * df, df, 2.0 * df + 7.0, 300.0):
+        _, p = ts.lrt(_fit_with_loglik(0.0), _fit_with_loglik(statistic / 2.0), df)
+        assert p == chi2.sf(statistic, df)
 
 
 def test_lrt_gaussian_closed_form():

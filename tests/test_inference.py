@@ -129,6 +129,15 @@ def test_correct_pvalue_boundaries():
     assert ts.correct_pvalue(1.0, null) == 1.0
 
 
+@pytest.mark.parametrize("n", [1, 120, 1000, 2000])
+def test_uniform_ks_distance_equals_scipy_kstest(n):
+    from scipy.stats import kstest
+
+    rng = np.random.default_rng(n)
+    for pvalues in (rng.uniform(size=n), rng.beta(0.7, 1.0, size=n), np.full(n, 0.5)):
+        assert uniform_ks_distance(pvalues) == kstest(pvalues, "uniform").statistic
+
+
 def test_correct_pvalue_tracks_uniform_null():
     null = _uniform_null(2500, seed=3)
     for p in (0.01, 0.05, 0.2, 0.5, 0.9):

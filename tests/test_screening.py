@@ -37,6 +37,25 @@ def test_full_model_single_candidate():
     assert res.k_selected == 1
 
 
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
+def test_full_model_pvalues_equal_scalar_norm_sf_oracle(family):
+    from scipy.stats import norm
+
+    d = ts.generate_trial(h0_spec(11, n=300, p=5, family=family, main=(0.8, 0.4, 0.2, 0.0, 0.0)))
+    x = d.x_candidates
+    d = d.with_candidates(np.column_stack([x, x[:, 1]]), (*d.candidate_names, "dup"))
+    design = ts.build_additive_design(d)
+    fit = ts.fit(design, d.y, family)
+    column = {o[1]: k for k, o in enumerate(design.origin) if o[0] == "candidate"}
+    oracle = [
+        float(2.0 * norm.sf(abs(fit.coefficients[column[j]] / fit.std_errors[column[j]])))
+        if j in column else 1.0
+        for j in range(d.p)
+    ]
+    assert design.dropped_origin == (("candidate", 5),)
+    assert ts.rank_full_model(d, family).substage_trace["p_values"] == oracle
+
+
 def test_full_model_symmetric_twins_split_evenly():
     first = 0
     reps = 1000

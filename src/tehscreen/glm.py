@@ -233,7 +233,9 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
 
     The gaussian-identity case stops after its single least-squares step,
     which is the exact maximum of the profiled likelihood; the binomial case
-    iterates to a relative log-likelihood change below ``tol``. Perfect
+    iterates to a relative log-likelihood change below ``tol``. Its first
+    step starts from ``family.initial_mu``, which no coefficient vector
+    attains, so it is taken whole and not tested for convergence. Perfect
     separation is reported as an error rather than returned as a silently
     diverged fit.
     """
@@ -249,7 +251,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
     mu = family.initial_mu(y)
     eta = _safe_link(family, mu)
     beta = np.zeros(q)
-    ll = family.log_likelihood(y, mu)
+    ll = None  # no coefficient vector attains initial_mu, so the first step is taken whole
     converged = False
     iterations = 0
     keep = list(range(q))  # columns rank repair has not dropped yet
@@ -281,11 +283,11 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
             eta_cand = X @ cand
             mu_cand = family.inverse_link(eta_cand)
             ll_cand = family.log_likelihood(y, mu_cand)
-            if ll_cand >= ll - 1e-12 or scale < 1e-8:
+            if ll is None or ll_cand >= ll - 1e-12 or scale < 1e-8:
                 break
             scale *= 0.5
         beta, eta, mu = cand, eta_cand, mu_cand
-        if abs(ll_cand - ll) <= tol * (abs(ll) + 1.0):
+        if ll is not None and abs(ll_cand - ll) <= tol * (abs(ll) + 1.0):
             ll = ll_cand
             converged = True
             break

@@ -82,3 +82,70 @@ def align_signs(a, b):
         if np.dot(a[:, j], b[:, j]) < 0:
             b[:, j] = -b[:, j]
     return b
+
+
+def lasso_path_cd(xs, u, y, binomial, lambdas, alpha0):
+    """Lasso path by plain cyclic coordinate descent on length-n residuals.
+
+    ``xs`` are the (already standardized) penalized columns, ``u`` the
+    unpenalized block and ``alpha0`` its coefficients at the unpenalized-only
+    fit. Each coordinate step recomputes its gradient from the full residual
+    vector; a binomial path wraps the solver in penalized IRLS. Tolerances
+    are the library's CD_TOL, CD_MAX_SWEEPS and OUTER_TOL. Returns
+    (betas, alphas, entry_order, sweeps) with one beta/alpha per lambda.
+    """
+    tol, max_sweeps, outer_tol = 1e-11, 50_000, 1e-10
+    n, p = xs.shape
+    beta = np.zeros(p)
+    alpha = np.array(alpha0, dtype=float)
+    betas, alphas, order, sweeps = [], [], [], 0
+
+    def soft(z, lam):
+        return np.sign(z) * max(abs(z) - lam, 0.0)
+
+    def solve(w, z, lam):
+        resid = z - u @ alpha - xs @ beta
+        u_norm = np.sum(w[:, None] * u * u, axis=0) / n
+        x_norm = np.sum(w[:, None] * xs * xs, axis=0) / n
+        for sweep in range(1, max_sweeps + 1):
+            delta = 0.0
+            for k in range(u.shape[1]):
+                if u_norm[k] > 0:
+                    step = np.sum(w * u[:, k] * resid) / n / u_norm[k]
+                    alpha[k] += step
+                    resid -= step * u[:, k]
+                    delta = max(delta, abs(step))
+            for j in range(p):
+                if x_norm[j] > 0:
+                    g = np.sum(w * xs[:, j] * resid) / n + x_norm[j] * beta[j]
+                    step = soft(g, lam) / x_norm[j] - beta[j]
+                    beta[j] += step
+                    resid -= step * xs[:, j]
+                    delta = max(delta, abs(step))
+            if delta < tol:
+                return sweep
+        raise RuntimeError("coordinate descent did not converge")
+
+    for lam in lambdas:
+        if not binomial:
+            sweeps += solve(np.ones(n), y, lam)
+        else:
+            obj_old = np.inf
+            for _ in range(100):
+                eta = u @ alpha + xs @ beta
+                mu = np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-10, 1.0 - 1e-10)
+                w = mu * (1.0 - mu)
+                sweeps += solve(w, eta + (y - mu) / w, lam)
+                eta = u @ alpha + xs @ beta
+                prob = np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-12, 1.0 - 1e-12)
+                ll = np.sum(y * np.log(prob) + (1.0 - y) * np.log1p(-prob))
+                obj = -ll / n + lam * np.sum(np.abs(beta))
+                if abs(obj_old - obj) <= outer_tol * (abs(obj) + 1.0):
+                    break
+                obj_old = obj
+            else:
+                raise RuntimeError("penalized IRLS did not converge")
+        order += sorted(j for j in range(p) if beta[j] != 0.0 and j not in order)
+        betas.append(beta.copy())
+        alphas.append(alpha.copy())
+    return betas, alphas, order, sweeps

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tehscreen as ts
-from tehscreen import glm
+from tehscreen import families, glm
 from tehscreen.errors import (
     DataError,
     FitError,
@@ -180,6 +180,29 @@ def test_fit_binomial_matches_newton_oracle():
     assert fit.log_likelihood == pytest.approx(ll_o, abs=1e-6)
     assert np.allclose(fit.coefficients, beta_o, atol=1e-6)
     assert np.allclose(fit.covariance, cov_o, atol=1e-6)
+
+
+def test_binomial_first_irls_step_is_taken_whole():
+    # The starting fitted values (initial_mu) match no coefficient vector, so
+    # comparing the first Newton step against their likelihood would halve it
+    # down to nothing and restart IRLS from zero.
+    d = toy_dataset(
+        n=600, p=25, family=ts.BINOMIAL, seed=3001, intercept=-0.3,
+        main_effects=(0.5, 0.4, 0.3) + (0.0,) * 22,
+    )
+    real = families.Binomial.log_likelihood
+    for design in (ts.build_additive_design(d), ts.build_interaction_design(d)):
+        calls = []
+
+        def counted(self, y, mu):
+            calls.append(1)
+            return real(self, y, mu)
+
+        with mock.patch.object(families.Binomial, "log_likelihood", counted):
+            fit = ts.fit(design, d.y, ts.BINOMIAL)
+        assert len(calls) <= fit.iterations + 1
+        beta_o, _, _ = newton_logistic(design.matrix, d.y)
+        assert np.max(np.abs(fit.coefficients - beta_o)) < 1e-8
 
 
 def test_gaussian_irls_equals_normal_equations():

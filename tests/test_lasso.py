@@ -7,6 +7,8 @@ import tehscreen as ts
 from tehscreen.errors import DataError
 from tehscreen.lasso import LassoPath
 
+from _oracles import lasso_path_cd, newton_logistic
+
 
 def orthonormal_dataset(c=(5.0, 3.0, 1.0), n=64, seed=0):
     """Candidates with mean 0 and x_j'x_k / n = 1{j=k}; y = sum c_j x_j / n-scale.
@@ -83,14 +85,15 @@ def test_zero_outcome_keeps_path_empty():
     assert path.entry_order == ()
 
 
+def _unpenalized(d, include_treatment):
+    cols = [np.ones(d.n)] + ([d.treatment.astype(float)] if include_treatment else [])
+    return np.column_stack(cols + [d.x_adjust[:, j] for j in range(d.p_c)])
+
+
 def _kkt_violations(d, family, path):
     """Max KKT violation over the whole path, on the standardized scale."""
     xs = (d.x_candidates - path.center) / path.scale
-    u_cols = [np.ones(d.n)]
-    if path.include_treatment:
-        u_cols.append(d.treatment.astype(float))
-    u_cols += [d.x_adjust[:, j] for j in range(d.p_c)]
-    u = np.column_stack(u_cols)
+    u = _unpenalized(d, path.include_treatment)
     worst = 0.0
     for lam, beta, alpha in zip(
         path.lambdas, path.coefficients_std_per_lambda, path.unpenalized_per_lambda
@@ -186,3 +189,65 @@ def test_coefficients_reported_on_original_scale():
     path = ts.fit_path(d, ts.GAUSSIAN, n_lambda=60)
     final = path.coefficients_per_lambda[-1]
     assert final[0] == pytest.approx(0.5, abs=0.02)
+
+
+def _oracle_path(d, family, path):
+    """The plain residual-based CD path on the same standardized data and lambda grid."""
+    x = d.x_candidates
+    xs = (x - x.mean(axis=0)) / np.where(x.std(axis=0) > 0, x.std(axis=0), 1.0)
+    u = _unpenalized(d, path.include_treatment)
+    if family is ts.BINOMIAL:
+        alpha0 = newton_logistic(u, d.y)[0]
+    else:
+        alpha0 = np.linalg.lstsq(u, d.y, rcond=None)[0]
+    return lasso_path_cd(xs, u, d.y, family is ts.BINOMIAL, path.lambdas, alpha0)
+
+
+def _assert_same_entry(path, oracle_betas, oracle_order):
+    """Entry orders agree, except where a coefficient at rounding level (<= 1e-12)
+    enters in one solver and not the other at the first grid point where the
+    entered sets differ (a tie with lambda_max)."""
+    if path.entry_order == tuple(oracle_order):
+        return
+    seen, seen_oracle = set(), set()
+    for beta, beta_oracle in zip(path.coefficients_std_per_lambda, oracle_betas):
+        seen |= set(np.flatnonzero(beta).tolist())
+        seen_oracle |= set(np.flatnonzero(beta_oracle).tolist())
+        if seen != seen_oracle:
+            for j in seen ^ seen_oracle:
+                assert max(abs(beta[j]), abs(beta_oracle[j])) <= 1e-12
+            return
+    pytest.fail("entry orders differ although the entered sets agree at every grid point")
+
+
+def _trial(family, seed):
+    spec = ts.SyntheticSpec(
+        n=150, p=6, family=family, main_effects=(0.8, -0.5, 0.3, 0.0, 0.0, 0.0),
+        treatment_effect=0.4, adjust_effects=(0.3,), seed=seed,
+    )
+    return ts.generate_trial(spec)
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
+@pytest.mark.parametrize("include_treatment", [True, False])
+@pytest.mark.parametrize("candidates", ["raw", "pca_scores"])
+def test_path_matches_residual_coordinate_descent_oracle(family, include_treatment, candidates):
+    d = _trial(family, seed=21)
+    if candidates == "pca_scores":
+        scores = ts.compute_pca(d.x_candidates).scores
+        d = d.with_candidates(scores, tuple(f"PC{i + 1}" for i in range(scores.shape[1])))
+    path = ts.fit_path(d, family, include_treatment=include_treatment, n_lambda=40)
+    betas, alphas, order, _ = _oracle_path(d, family, path)
+    for beta, beta_o in zip(path.coefficients_std_per_lambda, betas):
+        assert np.max(np.abs(beta - beta_o)) < 1e-8
+    for alpha, alpha_o in zip(path.unpenalized_per_lambda, alphas):
+        assert np.max(np.abs(alpha - alpha_o)) < 1e-8
+    _assert_same_entry(path, betas, order)
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
+def test_active_set_solve_cuts_sweeps(family):
+    d = _trial(family, seed=22)
+    path = ts.fit_path(d, family, n_lambda=40)
+    *_, oracle_sweeps = _oracle_path(d, family, path)
+    assert 0 < path.sweeps <= oracle_sweeps / 3

@@ -27,7 +27,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--reps", type=int, default=1000)
     parser.add_argument("--csv", default=None)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     spec = ts.SyntheticSpec(
@@ -42,10 +41,8 @@ def main():
         "k_rule": {"rule": "fixed", "k": 25},
     })
 
-    null_a = ts.simulate_null(base, ts.BINOMIAL, cfg, reps=args.reps, seed=951,
-                              threads=args.threads)
-    null_b = ts.simulate_null(base, ts.BINOMIAL, cfg, reps=args.reps, seed=952,
-                              threads=args.threads)
+    null_a = ts.simulate_null(base, ts.BINOMIAL, cfg, reps=args.reps, seed=951)
+    null_b = ts.simulate_null(base, ts.BINOMIAL, cfg, reps=args.reps, seed=952)
     corrected = np.array([ts.correct_pvalue(p, null_b) for p in null_a.p_values])
 
     print(f"n=600, K=25 binomial interaction test, {args.reps} H0 replicates")

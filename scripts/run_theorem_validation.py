@@ -22,7 +22,6 @@ def main():
     parser.add_argument("--reps", type=int, default=2000)
     parser.add_argument("--family", default="gaussian", choices=["gaussian", "binomial"])
     parser.add_argument("--seed", type=int, default=8211)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     family = ts.family_from_name(args.family)
@@ -38,8 +37,7 @@ def main():
 
     bound = 3.0 / np.sqrt(args.reps)
     for label, proj in (("raw covariates", None), ("fixed PCA projection", projection)):
-        rep = ts.validate_theorem(spec, reps=args.reps, seed=args.seed,
-                                   projection=proj, threads=args.threads)
+        rep = ts.validate_theorem(spec, reps=args.reps, seed=args.seed, projection=proj)
         s = rep.summary
         print(f"{args.family}, {label}:")
         print(f"  max |cross-correlation| = {s['max_abs_correlation']:.4f} "

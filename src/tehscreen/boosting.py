@@ -90,8 +90,6 @@ def fit_boost(
     family: Family,
     n_trees: int = 500,
     shrinkage: float = 0.05,
-    seed: int = 0,
-    bag_fraction: float = 1.0,
 ) -> BoostModel:
     """Fit the stump ensemble and its candidate relative influences."""
     if data.n < 10:
@@ -100,13 +98,10 @@ def fit_boost(
         raise DataError("n_trees must be >= 1")
     if not 0.0 < shrinkage <= 1.0:
         raise DataError("shrinkage must be in (0, 1]")
-    if not 0.0 < bag_fraction <= 1.0:
-        raise DataError("bag_fraction must be in (0, 1]")
 
     x, names = _scan_matrix(data)
     y = data.y
     n, nv = x.shape
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     sort_idx = np.argsort(x, axis=0, kind="stable")
     x_sorted = np.take_along_axis(x, sort_idx, axis=0)
@@ -129,14 +124,7 @@ def fit_boost(
             r = y - f
         else:
             r = y - BINOMIAL.inverse_link(f)
-        if bag_fraction < 1.0:
-            take = rng.choice(n, size=max(2, int(np.ceil(bag_fraction * n))), replace=False)
-            xb = x[take]
-            si = np.argsort(xb, axis=0, kind="stable")
-            xs = np.take_along_axis(xb, si, axis=0)
-            stump = _best_stump(si, xs[1:, :] > xs[:-1, :], 0.5 * (xs[1:, :] + xs[:-1, :]), r[take])
-        else:
-            stump = _best_stump(sort_idx, valid, midpoints, r)
+        stump = _best_stump(sort_idx, valid, midpoints, r)
         if stump is None:
             break
         stumps.append(stump)

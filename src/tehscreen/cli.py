@@ -66,13 +66,6 @@ def _report_envelope(cfg_dict, seed):
     }
 
 
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("TEH_SCREEN_THREADS")
-    return int(env) if env else 1
-
-
 def _load_data(cfg_dict, data_path):
     block = cfg_dict.get("data", {})
     if not isinstance(block, dict):
@@ -112,13 +105,12 @@ def cmd_analyze(args):
     cfg = PipelineConfig.from_dict(cfg_dict)
     seed = args.seed if args.seed is not None else cfg.seed
     data = _load_data(cfg_dict, args.data)
-    test = inference.run_pipeline(data, cfg, seed=seed)
+    test = inference.run_pipeline(data, cfg)
 
     null_info = None
     if cfg.null_reps > 0:
         null = inference.simulate_null(
-            data, cfg.family, cfg, reps=cfg.null_reps, seed=seed,
-            method=cfg.null_method, threads=_threads(args),
+            data, cfg.family, cfg, reps=cfg.null_reps, seed=seed, method=cfg.null_method
         )
         test = dataclasses.replace(
             test,
@@ -156,7 +148,7 @@ def cmd_sweep_k(args):
     if any(k < 1 or k > data.p for k in k_values):
         raise ConfigError(f"k_values must lie in 1..p={data.p}")
 
-    base = inference.run_screening(data, cfg, max(k_values), seed)
+    base = inference.run_screening(data, cfg, max(k_values))
     digest = hashlib.sha256(
         json.dumps(_jsonable(_screening_payload(base)), sort_keys=True).encode()
     ).hexdigest()
@@ -197,8 +189,7 @@ def cmd_simulate_null(args):
     seed = args.seed if args.seed is not None else cfg.seed
     data = _load_data(cfg_dict, args.data)
     null = inference.simulate_null(
-        data, cfg.family, cfg, reps=cfg.null_reps, seed=seed,
-        method=cfg.null_method, threads=_threads(args),
+        data, cfg.family, cfg, reps=cfg.null_reps, seed=seed, method=cfg.null_method
     )
     report = _report_envelope(cfg_dict, seed)
     report.update(
@@ -245,8 +236,7 @@ def cmd_validate_theorem(args):
         raise ConfigError(f"projection must be null or 'pca', got {proj_kind!r}")
 
     report_obj = inference.validate_theorem(
-        spec, reps=reps, seed=seed, projection=projection,
-        screen_k=cfg_dict.get("screen_k"), threads=_threads(args),
+        spec, reps=reps, seed=seed, projection=projection, screen_k=cfg_dict.get("screen_k")
     )
     report = _report_envelope(cfg_dict, seed)
     report.update({"summary": report_obj.summary})
@@ -265,9 +255,7 @@ def cmd_power_study(args):
     alpha = cfg_dict.get("alpha", 0.05)
     seed = args.seed if args.seed is not None else cfg_dict.get("seed", 0)
 
-    study = inference.power_study(
-        spec, methods, reps=reps, seed=seed, alpha=alpha, threads=_threads(args)
-    )
+    study = inference.power_study(spec, methods, reps=reps, seed=seed, alpha=alpha)
     report = _report_envelope(cfg_dict, seed)
     report.update({"summary": study.summary})
     if cfg_dict.get("include_records", False):
@@ -309,8 +297,6 @@ def _build_parser():
             p.add_argument("--data", required=True, help="trial data CSV")
         p.add_argument("--out", required=True, help="output report path")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="replicate parallelism (default: TEH_SCREEN_THREADS or 1)")
 
     p = sub.add_parser("analyze", help="Stage-1 screen + Stage-2 interaction test")
     common(p, data=True)

@@ -355,11 +355,16 @@ def log_likelihood(fit: GlmFit, design: DesignMatrix, y, family: Family) -> floa
 
 
 def lrt(null_fit: GlmFit, alt_fit: GlmFit, df: int):
-    """Likelihood-ratio test of a nested pair: (statistic, upper-tail chi-square p)."""
+    """Likelihood-ratio test of a nested pair: (statistic, upper-tail chi-square p).
+
+    A negative statistic is rounded to zero while it is within what the two
+    fits' IRLS stopping rules allow, LOGLIK_RTOL * (|ll| + 1) each.
+    """
     if df <= 0:
         raise NestingError(f"non-positive degrees of freedom: {df}")
-    statistic = 2.0 * (alt_fit.log_likelihood - null_fit.log_likelihood)
-    if statistic < -1e-5:
+    ll0, ll1 = null_fit.log_likelihood, alt_fit.log_likelihood
+    statistic = 2.0 * (ll1 - ll0)
+    if statistic < -2.0 * LOGLIK_RTOL * (abs(ll0) + abs(ll1) + 2.0):
         raise NestingError(
             f"alternative log-likelihood below null by {-statistic / 2:.3g}: models are not nested"
         )

@@ -10,10 +10,9 @@ raw p-value through that empirical distribution with the add-one convention.
 
 ``validate_theorem`` and ``power_study`` drive replicated synthetic trials.
 Replicate r always uses a seed derived from the master seed by a counting
-scheme, so results do not depend on scheduling or worker count.
+scheme, so any single replicate can be reproduced in isolation.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     """Per-replicate seed from a master seed: SeedSequence(master, spawn_key=(index,))."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _map_replicates(worker, reps, threads):
-    threads = max(1, int(threads or 1))
-    if threads == 1:
-        return [worker(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(reps)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +87,7 @@ def test_interaction(
     )
 
 
-def run_screening(data: TrialDataset, cfg: PipelineConfig, k: int, seed: int) -> scr.ScreeningResult:
+def run_screening(data: TrialDataset, cfg: PipelineConfig, k: int) -> scr.ScreeningResult:
     """Dispatch the configured Stage-1 engine with the pre-specified K."""
     family = cfg.family
     if cfg.method == "full_model":
@@ -116,7 +107,7 @@ def run_screening(data: TrialDataset, cfg: PipelineConfig, k: int, seed: int) ->
         return scr.screen_multi_stage(
             data, family, ml=cfg.ml, pc_rank=cfg.pc_rank, k=k,
             ri_threshold=cfg.ri_threshold, n_trees=cfg.n_trees, shrinkage=cfg.shrinkage,
-            seed=seed, n_lambda=cfg.n_lambda, standardize=cfg.pca_standardize,
+            n_lambda=cfg.n_lambda, standardize=cfg.pca_standardize,
             include_treatment=cfg.include_treatment,
         )
     if cfg.method == "irm":
@@ -124,11 +115,9 @@ def run_screening(data: TrialDataset, cfg: PipelineConfig, k: int, seed: int) ->
     raise DataError(f"unknown screening method {cfg.method!r}")
 
 
-def run_pipeline(data: TrialDataset, cfg: PipelineConfig, seed: int | None = None) -> InteractionTest:
+def run_pipeline(data: TrialDataset, cfg: PipelineConfig) -> InteractionTest:
     """Stage-1 screening followed by the Stage-2 interaction test."""
-    seed = cfg.seed if seed is None else seed
-    k = cfg.resolve_k(data.n)
-    screen = run_screening(data, cfg, k, seed)
+    screen = run_screening(data, cfg, cfg.resolve_k(data.n))
     return test_interaction(data, cfg.family, screen)
 
 
@@ -164,7 +153,6 @@ def simulate_null(
     reps: int,
     seed: int,
     method: str = "parametric",
-    threads: int = 1,
 ) -> NullDistribution:
     """Empirical H0 distribution of the configured pipeline's raw p-value.
 
@@ -193,11 +181,11 @@ def simulate_null(
                 y_new = rng.binomial(1, BINOMIAL.inverse_link(eta)).astype(float)
             d_rep = data.with_outcome(y_new).with_treatment(t_new)
         try:
-            return run_pipeline(d_rep, cfg, seed=derive_seed(seed, r))
+            return run_pipeline(d_rep, cfg)
         except TehScreenError as exc:
             return exc
 
-    results = _map_replicates(one, reps, threads)
+    results = [one(r) for r in range(reps)]
     pvals = [t.p_raw for t in results if isinstance(t, InteractionTest)]
     failures = reps - len(pvals)
     if failures > 0.05 * reps:
@@ -248,7 +236,6 @@ def validate_theorem(
     seed: int,
     projection: np.ndarray | None = None,
     screen_k: int | None = None,
-    threads: int = 1,
 ) -> SimulationReport:
     """Empirical independence check of screening statistics and arm differences.
 
@@ -272,11 +259,11 @@ def validate_theorem(
         alt_fit = glm.fit(glm.build_interaction_design(d), d.y, family)
         betas = add_fit.wald_z(d.p)
         diffs = glm.standardized_arm_difference(alt_fit, d.p)
-        screen = scr.rank_full_model(d, family, k=min(k_screen, d.p))
+        screen = scr._rank_additive_fit(add_fit, d.p, min(k_screen, d.p))
         p_screened = test_interaction(d, family, screen).p_raw
         return betas, diffs, p_screened
 
-    rows = _map_replicates(one, reps, threads)
+    rows = [one(r) for r in range(reps)]
     betas = np.vstack([r[0] for r in rows])
     diffs = np.vstack([r[1] for r in rows])
     pvals = np.asarray([r[2] for r in rows])
@@ -307,7 +294,6 @@ def power_study(
     reps: int,
     seed: int,
     alpha: float = 0.05,
-    threads: int = 1,
 ) -> SimulationReport:
     """Paired rejection rates: every method sees the identical replicate data."""
     if all(v == 0.0 for v in h1_spec.interaction_effects):
@@ -315,17 +301,16 @@ def power_study(
     labels = [cfg.label or f"{cfg.method}[{i}]" for i, cfg in enumerate(methods)]
 
     def one(r):
-        rs = derive_seed(seed, r)
-        d = generate_trial(_respec(h1_spec, rs))
+        d = generate_trial(_respec(h1_spec, derive_seed(seed, r)))
         row = {}
         for label, cfg in zip(labels, methods):
             try:
-                row[label] = float(run_pipeline(d, cfg, seed=rs).p_raw)
+                row[label] = float(run_pipeline(d, cfg).p_raw)
             except TehScreenError:
                 row[label] = np.nan
         return row
 
-    rows = _map_replicates(one, reps, threads)
+    rows = [one(r) for r in range(reps)]
     reject = {label: np.asarray([r[label] <= alpha for r in rows], dtype=float) for label in labels}
     failures = {label: int(sum(np.isnan(r[label]) for r in rows)) for label in labels}
     rates = {label: float(np.mean(reject[label])) for label in labels}

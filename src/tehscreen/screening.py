@@ -99,14 +99,17 @@ def _wald_pvalues(fit: glm.GlmFit, p: int):
 
 def rank_full_model(data: TrialDataset, family: Family, k: int | None = None) -> ScreeningResult:
     """Order candidates by the Wald p-value of their pooled main effect."""
-    design = glm.build_additive_design(data)
-    fit = glm.fit(design, data.y, family)
-    pvalues = _wald_pvalues(fit, data.p)
-    ranking = _order_by_pvalue(pvalues)
+    fit = glm.fit(glm.build_additive_design(data), data.y, family)
+    return _rank_additive_fit(fit, data.p, k)
+
+
+def _rank_additive_fit(fit: glm.GlmFit, p: int, k: int | None) -> ScreeningResult:
+    """The full-model screen of an already fitted additive model with p candidates."""
+    pvalues = _wald_pvalues(fit, p)
     return ScreeningResult(
         method="full_model",
-        ranking=ranking,
-        k_selected=_clamp_k(k, data.p),
+        ranking=_order_by_pvalue(pvalues),
+        k_selected=_clamp_k(k, p),
         substage_trace={"p_values": pvalues},
     )
 
@@ -215,7 +218,6 @@ def screen_multi_stage(
     ri_threshold: float = 1.0,
     n_trees: int = 500,
     shrinkage: float = 0.05,
-    seed: int = 0,
     n_lambda: int = 100,
     standardize: bool = True,
     include_treatment: bool = True,
@@ -228,9 +230,7 @@ def screen_multi_stage(
     """
     trace = {"ml": ml, "pc_rank": pc_rank}
     if ml == "boosting":
-        model = boosting.fit_boost(
-            data, family, n_trees=n_trees, shrinkage=shrinkage, seed=seed
-        )
+        model = boosting.fit_boost(data, family, n_trees=n_trees, shrinkage=shrinkage)
         selected = sorted(boosting.select_by_influence(model, ri_threshold))
         trace["relative_influence"] = model.relative_influence.tolist()
         trace["ri_threshold"] = ri_threshold

@@ -63,7 +63,7 @@ def test_criterion_1_type_i_error_after_supervised_screening():
     pvals = np.empty(reps)
     for r in range(reps):
         d = ts.generate_trial(dataclasses.replace(base, seed=ts.derive_seed(master, r)))
-        pvals[r] = ts.run_pipeline(d, cfg, seed=0).p_raw
+        pvals[r] = ts.run_pipeline(d, cfg).p_raw
     elapsed = time.monotonic() - start
     rejection = float(np.mean(pvals <= 0.05))
     ks = uniform_ks_distance(pvals)
@@ -134,7 +134,7 @@ def test_criterion_4_unblinded_risk_model_keeps_type_i_error():
     pvals = np.empty(reps)
     for r in range(reps):
         d = ts.generate_trial(dataclasses.replace(base, seed=ts.derive_seed(master, r)))
-        pvals[r] = ts.run_pipeline(d, cfg, seed=0).p_raw
+        pvals[r] = ts.run_pipeline(d, cfg).p_raw
     rejection = float(np.mean(pvals <= 0.05))
     ok = 0.032 <= rejection <= 0.068
     report(4, ok, f"rejection={rejection:.4f} in [0.032, 0.068]")
@@ -319,7 +319,7 @@ def test_criterion_9_consistency_trend_with_log_schedule():
         pvals = np.empty(500)
         for r in range(500):
             d = ts.generate_trial(dataclasses.replace(base, seed=ts.derive_seed(960 + n, r)))
-            pvals[r] = ts.run_pipeline(d, cfg, seed=0).p_raw
+            pvals[r] = ts.run_pipeline(d, cfg).p_raw
         powers.append(float(np.mean(pvals <= 0.05)))
     ok = powers[0] <= powers[1] <= powers[2]
     report(9, ok, f"power at n=(200, 800, 3200) with K=log(n): "

@@ -140,15 +140,6 @@ def test_one_tree_full_shrinkage_prediction_is_best_stump_fit():
     assert np.allclose(predict(model, d), expected)
 
 
-def test_deterministic_given_seed_with_subsampling():
-    spec = ts.SyntheticSpec(n=300, p=3, main_effects=(0.9, 0.4, 0.0), seed=13)
-    d = ts.generate_trial(spec)
-    a = ts.fit_boost(d, ts.GAUSSIAN, n_trees=40, shrinkage=0.1, seed=4, bag_fraction=0.6)
-    b = ts.fit_boost(d, ts.GAUSSIAN, n_trees=40, shrinkage=0.1, seed=4, bag_fraction=0.6)
-    assert a.stumps == b.stumps
-    assert np.array_equal(a.relative_influence, b.relative_influence)
-
-
 def test_insufficient_data_rejected():
     d = dataset_from_columns(
         np.arange(6.0), [1, 0, 1, 0, 1, 0], [np.arange(6.0)]

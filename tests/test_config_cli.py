@@ -262,16 +262,6 @@ def test_cli_validate_theorem(tmp_path):
     assert _read(out)["summary"]["projected"] is True
 
 
-def test_threads_env_variable_sets_default(monkeypatch):
-    import argparse
-
-    monkeypatch.setenv("TEH_SCREEN_THREADS", "3")
-    assert cli._threads(argparse.Namespace(threads=None)) == 3
-    assert cli._threads(argparse.Namespace(threads=2)) == 2
-    monkeypatch.delenv("TEH_SCREEN_THREADS")
-    assert cli._threads(argparse.Namespace(threads=None)) == 1
-
-
 def test_cli_power_study_and_missing_methods(tmp_path, capsys):
     spec = {"family": "gaussian", "n": 150, "p": 3,
             "main_effects": [0.8, 0.3, 0.0], "interaction_effects": [0.6, 0.0, 0.0],
@@ -352,7 +342,7 @@ def test_sweep_detects_interaction_at_its_rank():
     seeds = 100
     for r in range(seeds):
         d = ts.generate_trial(dataclasses.replace(base, seed=ts.derive_seed(7117, r)))
-        screen = inference.run_screening(d, cfg, 8, seed=0)
+        screen = inference.run_screening(d, cfg, 8)
         p_at = {
             k: inference.test_interaction(d, ts.GAUSSIAN, screen.truncate(k)).p_raw
             for k in (5, 6)

@@ -370,6 +370,13 @@ def test_lrt_rejects_bad_df_and_non_nesting():
         ts.lrt(_fit_with_loglik(-1.0), _fit_with_loglik(-2.0), 1)
 
 
+def test_lrt_nesting_tolerance_scales_with_loglik():
+    # Each IRLS fit stops once |delta ll| <= LOGLIK_RTOL * (|ll| + 1), i.e. 1e-4
+    # at ll = -1e6, so a 1e-5 shortfall of the alternative is within tolerance.
+    statistic, p = ts.lrt(_fit_with_loglik(-1e6), _fit_with_loglik(-1e6 - 1e-5), 3)
+    assert (statistic, p) == (0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # standardized arm differences
 # ---------------------------------------------------------------------------

@@ -87,14 +87,6 @@ def test_simulate_null_deterministic():
     assert a.reps == 100
 
 
-def test_simulate_null_thread_count_does_not_change_results():
-    d = h0_data(12)
-    cfg = pipeline_cfg()
-    seq = ts.simulate_null(d, ts.GAUSSIAN, cfg, reps=120, seed=9, threads=1)
-    par = ts.simulate_null(d, ts.GAUSSIAN, cfg, reps=120, seed=9, threads=4)
-    assert np.array_equal(seq.p_values, par.p_values)
-
-
 def test_simulate_null_gaussian_uniform():
     d = h0_data(13, n=500, p=4, main=(0.8, 0.4, 0.2, 0.0))
     cfg = pipeline_cfg(k=2)
@@ -201,6 +193,17 @@ def test_power_study_smoke_and_determinism():
     assert len(a.records) == 60
 
 
+def test_power_study_replicate_depends_only_on_master_seed_and_index():
+    spec = ts.SyntheticSpec(
+        n=150, p=3, family=ts.GAUSSIAN, main_effects=(0.8, 0.3, 0.0),
+        interaction_effects=(0.6, 0.0, 0.0), treatment_effect=0.3, seed=0,
+    )
+    methods = [pipeline_cfg(k=1, label="screened"), pipeline_cfg(k=3, label="full")]
+    short = ts.power_study(spec, methods, reps=10, seed=31)
+    long = ts.power_study(spec, methods, reps=20, seed=31)
+    assert short.records == long.records[:10]
+
+
 def test_h0_rejection_rate_full_model_screen():
     # 2000 H0 replicates, n=200, p=10, full-model screen, K=3.
     import dataclasses
@@ -214,7 +217,7 @@ def test_h0_rejection_rate_full_model_screen():
     pvals = np.empty(2000)
     for r in range(2000):
         d = ts.generate_trial(dataclasses.replace(base, seed=ts.derive_seed(812, r)))
-        pvals[r] = ts.run_pipeline(d, cfg, seed=0).p_raw
+        pvals[r] = ts.run_pipeline(d, cfg).p_raw
     assert 0.040 <= float(np.mean(pvals <= 0.05)) <= 0.060
 
 
@@ -239,7 +242,7 @@ def test_h0_uniformity_across_screening_methods(method, extra):
     pvals = np.empty(reps)
     for r in range(reps):
         d = ts.generate_trial(dataclasses.replace(base, seed=ts.derive_seed(master, r)))
-        pvals[r] = ts.run_pipeline(d, cfg, seed=0).p_raw
+        pvals[r] = ts.run_pipeline(d, cfg).p_raw
     assert uniform_ks_distance(pvals) < 1.36 / np.sqrt(reps) * 1.5
 
 

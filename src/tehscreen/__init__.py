@@ -19,7 +19,6 @@ from .glm import (
     build_additive_design,
     build_interaction_design,
     fit,
-    log_likelihood,
     lrt,
     standardized_arm_difference,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "irm_risk_projection",
     "k_schedule",
     "load_csv",
-    "log_likelihood",
     "lrt",
     "power_study",
     "rank_by_entry",

@@ -40,28 +40,18 @@ SEPARATION_NORM = 1e4
 # uses the (tighter) clip in families.py.
 _MU_EPS = 1e-10
 
-# Origin keys: ("candidate", j), ("arm_candidate", "A"|"B", j),
-# ("arm_intercept", "A"|"B"), ("intercept",), ("adjust", j).
-_ROLE_OF = {
-    "candidate": "candidate",
-    "arm_candidate": "arm_specific_candidate",
-    "arm_intercept": "arm_intercept",
-    "intercept": "intercept",
-    "adjust": "adjust",
-}
-
 
 @dataclass(frozen=True)
 class DesignMatrix:
     """Full-column-rank design with per-column provenance.
 
-    ``origin[k]`` identifies what retained column ``k`` is;
-    ``dropped_columns`` indexes into the pre-repair column layout.
+    ``origin[k]`` identifies what retained column ``k`` is: ("candidate", j),
+    ("arm_candidate", "A"|"B", j), ("arm_intercept", "A"|"B"), ("intercept",)
+    or ("adjust", j); ``dropped_columns`` indexes into the pre-repair layout.
     """
 
     matrix: np.ndarray
     origin: tuple
-    names: tuple
     dropped_columns: tuple = ()
     dropped_origin: tuple = ()
 
@@ -73,14 +63,10 @@ class DesignMatrix:
     def width(self):
         return self.matrix.shape[1]
 
-    @property
-    def roles(self):
-        return tuple(_ROLE_OF[o[0]] for o in self.origin)
-
 
 @dataclass(frozen=True)
 class GlmFit:
-    """One converged (or diagnosed) GLM fit.
+    """One converged GLM fit (non-convergence raises instead).
 
     ``coefficients`` has the design's width, with zeros at fit-time dropped
     columns; ``covariance`` is the inverse Fisher information on retained
@@ -94,7 +80,6 @@ class GlmFit:
     log_likelihood: float
     deviance: float
     iterations: int
-    converged: bool
     dropped_columns: tuple = ()
     origin: tuple = ()
 
@@ -153,7 +138,7 @@ def _cholesky(gram, tol=RANK_TOL):
     return L[:k, :k], kept
 
 
-def make_design(columns, origin, names) -> DesignMatrix:
+def make_design(columns, origin) -> DesignMatrix:
     """Assemble a design from columns and apply rank repair."""
     matrix = np.column_stack(columns) if columns else np.empty((0, 0))
     _, kept = _cholesky(matrix.T @ matrix)
@@ -161,7 +146,6 @@ def make_design(columns, origin, names) -> DesignMatrix:
     return DesignMatrix(
         matrix=np.ascontiguousarray(matrix[:, kept]),
         origin=tuple(origin[k] for k in kept),
-        names=tuple(names[k] for k in kept),
         dropped_columns=tuple(dropped),
         dropped_origin=tuple(origin[k] for k in dropped),
     )
@@ -174,39 +158,21 @@ def build_additive_design(data: TrialDataset) -> DesignMatrix:
     t = data.treatment.astype(float)
     columns = [data.x_candidates[:, j] for j in range(data.p)]
     origin = [("candidate", j) for j in range(data.p)]
-    names = list(data.candidate_names)
     columns += [t, 1.0 - t]
     origin += [("arm_intercept", "A"), ("arm_intercept", "B")]
-    names += ["armA", "armB"]
     columns += [data.x_adjust[:, j] for j in range(data.p_c)]
     origin += [("adjust", j) for j in range(data.p_c)]
-    names += list(data.adjust_names)
-    return make_design(columns, origin, names)
+    return make_design(columns, origin)
 
 
-def build_interaction_design(data: TrialDataset, selected=None, projection=None) -> DesignMatrix:
+def build_interaction_design(data: TrialDataset) -> DesignMatrix:
     """Arm-specific design: [arm-A candidate block | arm-B block | arm intercepts | adjusters].
 
-    ``selected`` restricts the candidate block to those column indices;
-    ``projection`` (p x K) replaces it with the projected columns
-    ``x_candidates @ projection``. At most one of the two may be given;
-    neither means all candidates.
+    The candidate block is every candidate of ``data``; to test a screen, pass
+    the dataset that ``screening.stage2_dataset`` builds from it.
     """
-    if selected is not None and projection is not None:
-        raise DataError("pass either selected indices or a projection, not both")
-    if projection is not None:
-        v = np.asarray(projection, dtype=float)
-        if v.ndim != 2 or v.shape[0] != data.p:
-            raise DataError(f"projection must be {data.p} x K")
-        xk = data.x_candidates @ v
-        base_names = [f"proj{j + 1}" for j in range(xk.shape[1])]
-    else:
-        idx = list(range(data.p)) if selected is None else list(selected)
-        if any(j < 0 or j >= data.p for j in idx):
-            raise DataError("selected indices out of range")
-        xk = data.x_candidates[:, idx]
-        base_names = [data.candidate_names[j] for j in idx]
-    k = xk.shape[1]
+    xk = data.x_candidates
+    k = data.p
     if k == 0:
         raise DataError("empty selection: the interaction design needs K >= 1 candidates")
     if data.n < 2 * k + data.p_c + 2:
@@ -215,17 +181,13 @@ def build_interaction_design(data: TrialDataset, selected=None, projection=None)
     t = data.treatment.astype(float)
     columns = [xk[:, j] * t for j in range(k)]
     origin = [("arm_candidate", "A", j) for j in range(k)]
-    names = [f"{nm}:A" for nm in base_names]
     columns += [xk[:, j] * (1.0 - t) for j in range(k)]
     origin += [("arm_candidate", "B", j) for j in range(k)]
-    names += [f"{nm}:B" for nm in base_names]
     columns += [t, 1.0 - t]
     origin += [("arm_intercept", "A"), ("arm_intercept", "B")]
-    names += ["armA", "armB"]
     columns += [data.x_adjust[:, j] for j in range(data.p_c)]
     origin += [("adjust", j) for j in range(data.p_c)]
-    names += list(data.adjust_names)
-    return make_design(columns, origin, names)
+    return make_design(columns, origin)
 
 
 def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_RTOL) -> GlmFit:
@@ -335,7 +297,6 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
         log_likelihood=ll,
         deviance=family.deviance(y, mu),
         iterations=iterations,
-        converged=converged,
         dropped_columns=tuple(sorted(set(range(q)).difference(keep))),
         origin=design.origin,
     )
@@ -346,12 +307,6 @@ def _safe_link(family, mu):
         return mu
     p = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
     return np.log(p / (1.0 - p))
-
-
-def log_likelihood(fit: GlmFit, design: DesignMatrix, y, family: Family) -> float:
-    """Exact family log-likelihood at the fitted coefficients."""
-    eta = design.matrix @ fit.coefficients
-    return family.log_likelihood(np.asarray(y, dtype=float), family.inverse_link(eta))
 
 
 def lrt(null_fit: GlmFit, alt_fit: GlmFit, df: int):

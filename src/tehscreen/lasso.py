@@ -142,7 +142,6 @@ def fit_path(
     family: Family,
     include_treatment: bool = True,
     n_lambda: int = 100,
-    lambda_min_ratio: float | None = None,
 ) -> LassoPath:
     """Solve the path from lambda_max (all penalized coefficients zero) downward.
 
@@ -158,14 +157,12 @@ def fit_path(
     u = _unpenalized_block(data, include_treatment)
     y = data.y
     n, p = xs.shape
-    if lambda_min_ratio is None:
-        lambda_min_ratio = 1e-3 if n > p else 1e-2
+    lambda_min_ratio = 1e-3 if n > p else 1e-2
 
     # Gradient of the penalized block at the null (unpenalized-only) model.
     null_design = glm.DesignMatrix(
         matrix=u,
         origin=tuple(("intercept",) for _ in range(u.shape[1])),
-        names=tuple(f"u{k}" for k in range(u.shape[1])),
     )
     null_fit = glm.fit(null_design, y, family)
     mu0 = family.inverse_link(u @ null_fit.coefficients)

@@ -126,14 +126,12 @@ def rank_univariate(data: TrialDataset, family: Family, k: int | None = None) ->
     base_origin = [("arm_intercept", "A"), ("arm_intercept", "B")] + [
         ("adjust", i) for i in range(data.p_c)
     ]
-    base_names = ["armA", "armB", *data.adjust_names]
     pvalues = []
     failures = []
     for j in range(data.p):
         design = glm.make_design(
             base_cols + [data.x_candidates[:, j]],
             base_origin + [("candidate", 0)],
-            base_names + [data.candidate_names[j]],
         )
         try:
             fit = glm.fit(design, data.y, family)
@@ -186,14 +184,19 @@ def screen_pca_single_stage(
     the raw candidate matrix; the dropped centering only shifts columns by
     constants that the arm intercepts absorb.
     """
-    res = compute_pca(data.x_candidates, standardize=standardize)
+    return _pca_screen(data, data.x_candidates, family, supervised, k, standardize, n_lambda)
+
+
+def _pca_screen(data, x, family, supervised, k, standardize, n_lambda) -> ScreeningResult:
+    """The PCA screen of the candidate block ``x``; ``data`` supplies y, arms and adjusters."""
+    res = compute_pca(x, standardize=standardize)
     raw_projection = res.loadings / res.scale[:, None]
     if supervised:
         pc_data = data.with_candidates(res.scores, tuple(f"PC{i + 1}" for i in range(res.m)))
         ranking = tuple(rank_lasso(pc_data, family, n_lambda=n_lambda).ranking)
     else:
         ranking = tuple(rank_pcs_by_variance(res))
-    k_sel = _clamp_k(k, data.p)
+    k_sel = _clamp_k(k, res.m)
     projection = raw_projection[:, list(ranking[:k_sel])]
     return ScreeningResult(
         method="pca_supervised" if supervised else "pca_variance",
@@ -224,69 +227,54 @@ def screen_multi_stage(
 ) -> ScreeningResult:
     """Substage-I: supervised variable subset; Substage-II: PCA of the subset.
 
-    The subset size M may vary from sample to sample; K stays pre-specified.
-    If K exceeds M it is capped at M (recorded); if the subset is empty the
-    screen falls back to single-stage PCA of all candidates (recorded).
+    Substage-II is the single-stage PCA screen of the subset, its projection
+    padded with zero rows for the unselected variables. The subset size M may
+    vary from sample to sample; K stays pre-specified. If K exceeds M it is
+    capped at M (recorded); if the subset is empty the screen falls back to
+    single-stage PCA of all candidates (recorded).
     """
+    if ml not in ("boosting", "lasso"):
+        raise ConfigError(f"unknown multi-stage ML method {ml!r}; expected boosting or lasso")
+    if pc_rank not in ("variance", "supervised"):
+        raise ConfigError(f"unknown PC ranking {pc_rank!r}; expected variance or supervised")
     trace = {"ml": ml, "pc_rank": pc_rank}
     if ml == "boosting":
         model = boosting.fit_boost(data, family, n_trees=n_trees, shrinkage=shrinkage)
         selected = sorted(boosting.select_by_influence(model, ri_threshold))
         trace["relative_influence"] = model.relative_influence.tolist()
         trace["ri_threshold"] = ri_threshold
-    elif ml == "lasso":
+    else:
         path = lasso.fit_path(data, family, include_treatment=include_treatment, n_lambda=n_lambda)
         selected = sorted(path.entry_order)
         trace["entry_order"] = list(path.entry_order)
-    else:
-        raise ConfigError(f"unknown multi-stage ML method {ml!r}; expected boosting or lasso")
 
-    if not selected:
-        fallback = screen_pca_single_stage(
-            data, family, supervised=(pc_rank == "supervised"), k=k,
-            standardize=standardize, n_lambda=n_lambda,
-        )
-        trace.update(fallback.substage_trace)
+    # The column-indexed block is Fortran-ordered, and the PCA's centering sums
+    # in a layout-dependent order, so it goes to the screen as indexed.
+    subset = selected or list(range(data.p))
+    x = data.x_candidates[:, selected] if selected else data.x_candidates
+    pca = _pca_screen(data, x, family, pc_rank == "supervised", k, standardize, n_lambda)
+    if selected:
+        m = len(selected)
+        trace["m_selected"] = m
+        trace["selected_indices"] = selected
+        trace["selected_names"] = [data.candidate_names[j] for j in selected]
+        requested = k if k is not None else m
+        if requested > m:
+            trace["k_capped"] = {"requested": requested, "m": m}
+        trace["pc_order"] = list(pca.ranking)
+        trace["score_variances"] = pca.substage_trace["score_variances"]
+        trace["loadings"] = pca.substage_trace["loadings"]
+    else:
+        trace.update(pca.substage_trace)
         trace["warning"] = "substage-I selected no variables; fell back to single-stage PCA"
         trace["m_selected"] = 0
-        return ScreeningResult(
-            method="multi_stage",
-            ranking=fallback.ranking,
-            k_selected=fallback.k_selected,
-            projection=fallback.projection,
-            substage_trace=trace,
-        )
 
-    m = len(selected)
-    trace["m_selected"] = m
-    trace["selected_indices"] = selected
-    trace["selected_names"] = [data.candidate_names[j] for j in selected]
-
-    requested = k if k is not None else m
-    if requested > m:
-        trace["k_capped"] = {"requested": requested, "m": m}
-    k_sel = min(requested, m)
-
-    sub = compute_pca(data.x_candidates[:, selected], standardize=standardize)
-    if pc_rank == "variance":
-        pc_order = rank_pcs_by_variance(sub)
-    elif pc_rank == "supervised":
-        pc_data = data.with_candidates(sub.scores, tuple(f"PC{i + 1}" for i in range(sub.m)))
-        pc_order = list(rank_lasso(pc_data, family, n_lambda=n_lambda).ranking)
-    else:
-        raise ConfigError(f"unknown PC ranking {pc_rank!r}; expected variance or supervised")
-
-    chosen = pc_order[:k_sel]
-    sub_projection = (sub.loadings / sub.scale[:, None])[:, chosen]
-    projection = np.zeros((data.p, k_sel))
-    projection[selected, :] = sub_projection  # zero rows for unselected variables
-    trace["pc_order"] = list(pc_order)
-    trace["score_variances"] = sub.score_variances.tolist()
-    trace["loadings"] = sub.loadings.tolist()
+    projection = np.zeros((data.p, pca.k_selected))
+    projection[subset, :] = pca.projection  # zero rows for unselected variables
     return ScreeningResult(
         method="multi_stage",
-        ranking=tuple(pc_order),
-        k_selected=k_sel,
+        ranking=pca.ranking,
+        k_selected=pca.k_selected,
         projection=projection,
         substage_trace=trace,
     )
@@ -306,8 +294,7 @@ def irm_risk_projection(
     else:
         cols = [data.x_candidates[:, j] for j in range(data.p)] + [np.ones(data.n)]
         origin = [("candidate", j) for j in range(data.p)] + [("intercept",)]
-        names = [*data.candidate_names, "intercept"]
-        design = glm.make_design(cols, origin, names)
+        design = glm.make_design(cols, origin)
     fit = glm.fit(design, data.y, family)
     beta = np.zeros(data.p)
     keys, cols = fit.role("candidate")

@@ -20,11 +20,8 @@ from _oracles import newton_logistic, ols_rss
 def manual_design(columns, kinds=None):
     """Design matrix straight from columns, bypassing the trial builders."""
     matrix = np.column_stack(columns)
-    q = matrix.shape[1]
-    kinds = kinds or [("candidate", j) for j in range(q)]
-    return glm.DesignMatrix(
-        matrix=matrix, origin=tuple(kinds), names=tuple(f"v{j}" for j in range(q))
-    )
+    kinds = kinds or [("candidate", j) for j in range(matrix.shape[1])]
+    return glm.DesignMatrix(matrix=matrix, origin=tuple(kinds))
 
 
 def toy_dataset(n=60, p=3, p_c=0, family=ts.GAUSSIAN, seed=0, **kw):
@@ -52,7 +49,9 @@ def test_additive_design_layout():
     )
     design = ts.build_additive_design(d)
     assert design.width == 4
-    assert design.roles == ("candidate", "candidate", "arm_intercept", "arm_intercept")
+    assert design.origin == (
+        ("candidate", 0), ("candidate", 1), ("arm_intercept", "A"), ("arm_intercept", "B")
+    )
     assert np.array_equal(design.matrix[:, 2], [1, 0, 1, 0])
     assert np.array_equal(design.matrix[:, 3], [0, 1, 0, 1])
 
@@ -92,10 +91,9 @@ def test_cholesky_fast_path_keeps_the_columns_of_the_sequential_fallback(seed, w
             column = column + 10.0**log_noise * rng.standard_normal(n)
         columns.append(column)
     origin = [("candidate", j) for j in range(len(columns))]
-    names = [f"v{j}" for j in range(len(columns))]
-    design = glm.make_design(columns, origin, names)
+    design = glm.make_design(columns, origin)
     with mock.patch.object(np.linalg, "cholesky", side_effect=np.linalg.LinAlgError):
-        sequential = glm.make_design(columns, origin, names)
+        sequential = glm.make_design(columns, origin)
     assert design.dropped_columns == sequential.dropped_columns
     assert design.dropped_columns == tuple(range(width, len(columns)))
 
@@ -104,7 +102,7 @@ def test_additive_design_appends_adjusters():
     d = toy_dataset(n=40, p=2, p_c=1)
     design = ts.build_additive_design(d)
     assert design.width == 5
-    assert design.roles[-1] == "adjust"
+    assert design.origin[-1] == ("adjust", 0)
 
 
 def test_interaction_design_masks_by_arm():
@@ -115,16 +113,20 @@ def test_interaction_design_masks_by_arm():
         x_candidates=np.array([[a], [b], [c], [e]]),
         x_adjust=np.empty((4, 0)),
     )
-    design = ts.build_interaction_design(d, selected=[0])
+    design = ts.build_interaction_design(d)
     assert np.array_equal(design.matrix[:, 0], [a, b, 0, 0])
     assert np.array_equal(design.matrix[:, 1], [0, 0, c, e])
-    assert design.roles[:2] == ("arm_specific_candidate", "arm_specific_candidate")
+    assert design.origin[:2] == (("arm_candidate", "A", 0), ("arm_candidate", "B", 0))
 
 
 def test_interaction_design_identity_projection_equals_select_all():
     d = toy_dataset(n=50, p=3)
-    via_selected = ts.build_interaction_design(d, selected=[0, 1, 2])
-    via_projection = ts.build_interaction_design(d, projection=np.eye(3))
+    selected = ts.ScreeningResult(method="full_model", ranking=(0, 1, 2), k_selected=3)
+    projected = ts.ScreeningResult(
+        method="pca_variance", ranking=(0, 1, 2), k_selected=3, projection=np.eye(3)
+    )
+    via_selected = ts.build_interaction_design(ts.stage2_dataset(d, selected))
+    via_projection = ts.build_interaction_design(ts.stage2_dataset(d, projected))
     assert np.array_equal(via_selected.matrix, via_projection.matrix)
 
 
@@ -139,7 +141,10 @@ def test_interaction_design_pc1_loading_gives_pc1_scores():
         x_candidates=x,
         x_adjust=np.empty((30, 0)),
     )
-    design = ts.build_interaction_design(d, projection=res.loadings[:, [0]])
+    pc1 = ts.ScreeningResult(
+        method="pca_variance", ranking=(0,), k_selected=1, projection=res.loadings[:, [0]]
+    )
+    design = ts.build_interaction_design(ts.stage2_dataset(d, pc1))
     recovered = design.matrix[:, 0] + design.matrix[:, 1]  # unmask the two arm blocks
     assert np.allclose(recovered, res.scores[:, 0], atol=1e-10)
 
@@ -147,7 +152,7 @@ def test_interaction_design_pc1_loading_gives_pc1_scores():
 def test_interaction_design_empty_selection_rejected():
     d = toy_dataset()
     with pytest.raises(DataError, match="empty selection"):
-        ts.build_interaction_design(d, selected=[])
+        ts.build_interaction_design(d.with_candidates(np.empty((d.n, 0)), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +276,7 @@ def test_loglik_all_half_probabilities():
     design = manual_design([np.ones(4)], kinds=[("intercept",)])
     y = np.array([1.0, 1.0, 0.0, 0.0])
     fit = ts.fit(design, y, ts.BINOMIAL)
-    value = ts.log_likelihood(fit, design, y, ts.BINOMIAL)
-    assert value == pytest.approx(4 * np.log(0.5), abs=1e-10)
+    assert fit.log_likelihood == pytest.approx(4 * np.log(0.5), abs=1e-10)
 
 
 def test_loglik_perfect_gaussian_fit_is_capped():
@@ -295,7 +299,7 @@ def test_loglik_matches_direct_summation():
     direct = sum(
         float(yi * np.log(pi) + (1 - yi) * np.log(1 - pi)) for yi, pi in zip(y, p)
     )
-    assert ts.log_likelihood(fit, design, y, ts.BINOMIAL) == pytest.approx(direct, abs=1e-10)
+    assert fit.log_likelihood == pytest.approx(direct, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,7 @@ def test_loglik_matches_direct_summation():
 def _fit_with_loglik(ll):
     return glm.GlmFit(
         coefficients=np.zeros(1), covariance=np.zeros((1, 1)), std_errors=np.zeros(1),
-        log_likelihood=ll, deviance=0.0, iterations=1, converged=True,
+        log_likelihood=ll, deviance=0.0, iterations=1,
     )
 
 

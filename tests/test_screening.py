@@ -202,21 +202,42 @@ def test_multi_stage_k_capped_at_m():
     assert res.substage_trace["k_capped"] == {"requested": 5, "m": m}
 
 
-def test_multi_stage_empty_screen_falls_back_to_pca():
+def _pure_noise_trial():
     rng = np.random.default_rng(64)
     n = 200
-    d = ts.TrialDataset(
+    return ts.TrialDataset(
         y=rng.standard_normal(n),
         treatment=np.array([1, 0] * (n // 2)),
         x_candidates=rng.standard_normal((n, 4)),
         x_adjust=np.empty((n, 0)),
     )
+
+
+def test_multi_stage_empty_screen_falls_back_to_pca():
+    d = _pure_noise_trial()
     res = ts.screen_multi_stage(
         d, ts.GAUSSIAN, ml="boosting", k=2, n_trees=30, ri_threshold=1000.0
     )
     assert res.substage_trace["m_selected"] == 0
     assert "warning" in res.substage_trace
     assert res.projection.shape == (4, 2)
+    single = ts.screen_pca_single_stage(d, ts.GAUSSIAN, supervised=False, k=2)
+    assert res.ranking == single.ranking
+    assert res.k_selected == single.k_selected
+    assert np.array_equal(res.projection, single.projection)
+    boost_keys = {"ml", "pc_rank", "relative_influence", "ri_threshold", "m_selected",
+                  "score_variances", "loadings"}
+    assert set(res.substage_trace) == boost_keys | {"standardize", "degenerate_pcs", "warning"}
+    normal = ts.screen_multi_stage(d, ts.GAUSSIAN, ml="boosting", k=2, n_trees=30)
+    assert normal.substage_trace["m_selected"] == 4
+    assert set(normal.substage_trace) == boost_keys | {"selected_indices", "selected_names",
+                                                       "pc_order"}
+
+
+def test_multi_stage_rejects_unknown_pc_rank_before_substage_one():
+    d = _pure_noise_trial()
+    with pytest.raises(ConfigError, match="unknown PC ranking"):
+        ts.screen_multi_stage(d, ts.GAUSSIAN, pc_rank="bogus", ri_threshold=1000.0, n_trees=30)
 
 
 def test_multi_stage_h0_pvalues_uniform():

@@ -25,7 +25,6 @@ from . import __version__, inference
 from .config import PipelineConfig, load_json, load_study, synthetic_spec_from_dict
 from .data_model import generate_trial, load_csv, write_csv
 from .errors import ConfigError, DataError, TehScreenError
-from .pca import compute_pca
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,40 +77,27 @@ def _load_data(cfg_dict, data_path):
     )
 
 
-def _test_payload(test):
-    return {
-        "statistic": test.statistic,
-        "df": test.df,
-        "p_raw": test.p_raw,
-        "p_corrected": test.p_corrected,
-        "standardized_differences": test.standardized_differences,
-        "df_repaired": test.df_repaired,
-        "null_sim_size": test.null_sim_size,
-    }
+def _int_field(name, value, minimum):
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"config field {name!r} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
-def _screening_payload(screen):
-    return {
-        "method": screen.method,
-        "ranking": list(screen.ranking),
-        "k_selected": screen.k_selected,
-        "projection": screen.projection,
-        "substage_trace": screen.substage_trace,
-    }
+def _seed(args, default):
+    """The master seed: --seed when given, else the config's ``default``."""
+    return _int_field("seed", default if args.seed is None else args.seed, 0)
 
 
 def cmd_analyze(args):
     cfg_dict = load_json(args.config)
     cfg = PipelineConfig.from_dict(cfg_dict)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args, cfg.seed)
     data = _load_data(cfg_dict, args.data)
     test = inference.run_pipeline(data, cfg)
 
     null_info = None
     if cfg.null_reps > 0:
-        null = inference.simulate_null(
-            data, cfg.family, cfg, reps=cfg.null_reps, seed=seed, method=cfg.null_method
-        )
+        null = inference.simulate_null(data, cfg, reps=cfg.null_reps, seed=seed)
         test = dataclasses.replace(
             test,
             p_corrected=inference.correct_pvalue(test.p_raw, null),
@@ -119,13 +105,14 @@ def cmd_analyze(args):
         )
         null_info = {"reps": null.reps, "failures": null.failures, "method": cfg.null_method}
 
+    test_block = _jsonable(test)
     report = _report_envelope(cfg_dict, seed)
     report.update(
         {
             "n": data.n, "p": data.p, "p_c": data.p_c,
             "k": cfg.resolve_k(data.n),
-            "screening": _screening_payload(test.screening),
-            "test": _test_payload(test),
+            "screening": test_block.pop("screening"),
+            "test": test_block,
             "null_simulation": null_info,
         }
     )
@@ -138,7 +125,7 @@ def cmd_sweep_k(args):
     cfg = PipelineConfig.from_dict(cfg_dict)
     if cfg.method == "irm":
         raise ConfigError("sweep-k does not apply to the K=1 internal-risk-model screen")
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args, cfg.seed)
     data = _load_data(cfg_dict, args.data)
 
     k_values = args.k_values or cfg_dict.get("k_values")
@@ -149,9 +136,7 @@ def cmd_sweep_k(args):
         raise ConfigError(f"k_values must lie in 1..p={data.p}")
 
     base = inference.run_screening(data, cfg, max(k_values))
-    digest = hashlib.sha256(
-        json.dumps(_jsonable(_screening_payload(base)), sort_keys=True).encode()
-    ).hexdigest()
+    digest = hashlib.sha256(json.dumps(_jsonable(base), sort_keys=True).encode()).hexdigest()
 
     table = []
     for k in k_values:
@@ -168,7 +153,7 @@ def cmd_sweep_k(args):
         {
             "n": data.n, "p": data.p,
             "exploratory": "K sweep is exploratory, not a pre-registered analysis",
-            "screening": _screening_payload(base),
+            "screening": base,
             "table": table,
         }
     )
@@ -184,13 +169,11 @@ def cmd_sweep_k(args):
 def cmd_simulate_null(args):
     cfg_dict = load_json(args.config)
     cfg = PipelineConfig.from_dict(cfg_dict)
-    if cfg.null_reps < 100:
+    if cfg.null_reps == 0:
         raise ConfigError("null_sim.reps must be >= 100 for simulate-null")
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args, cfg.seed)
     data = _load_data(cfg_dict, args.data)
-    null = inference.simulate_null(
-        data, cfg.family, cfg, reps=cfg.null_reps, seed=seed, method=cfg.null_method
-    )
+    null = inference.simulate_null(data, cfg, reps=cfg.null_reps, seed=seed)
     report = _report_envelope(cfg_dict, seed)
     report.update(
         {
@@ -219,24 +202,17 @@ def cmd_validate_theorem(args):
     if "spec" not in cfg_dict:
         raise ConfigError("missing config field 'spec'")
     spec = synthetic_spec_from_dict(cfg_dict["spec"])
-    reps = cfg_dict.get("reps", 2000)
-    if not isinstance(reps, int) or reps < 100:
-        raise ConfigError("config field 'reps' must be an integer >= 100")
-    seed = args.seed if args.seed is not None else cfg_dict.get("seed", 0)
-
-    projection = None
+    reps = _int_field("reps", cfg_dict.get("reps", 2000), 100)
+    seed = _seed(args, cfg_dict.get("seed", 0))
     proj_kind = cfg_dict.get("projection")
-    if proj_kind == "pca":
-        ref = generate_trial(
-            dataclasses.replace(spec, seed=inference.derive_seed(seed, 2**30))
-        )
-        res = compute_pca(ref.x_candidates, standardize=True)
-        projection = res.loadings / res.scale[:, None]
-    elif proj_kind not in (None, "none"):
+    if proj_kind not in (None, "none", "pca"):
         raise ConfigError(f"projection must be null or 'pca', got {proj_kind!r}")
+    screen_k = cfg_dict.get("screen_k")
+    if screen_k is not None:
+        _int_field("screen_k", screen_k, 1)
 
     report_obj = inference.validate_theorem(
-        spec, reps=reps, seed=seed, projection=projection, screen_k=cfg_dict.get("screen_k")
+        spec, reps=reps, seed=seed, projected=proj_kind == "pca", screen_k=screen_k
     )
     report = _report_envelope(cfg_dict, seed)
     report.update({"summary": report_obj.summary})
@@ -249,11 +225,11 @@ def cmd_validate_theorem(args):
 def cmd_power_study(args):
     cfg_dict = load_json(args.config)
     spec, methods = load_study(cfg_dict)
-    reps = cfg_dict.get("reps", 1000)
-    if not isinstance(reps, int) or reps < 10:
-        raise ConfigError("config field 'reps' must be an integer >= 10")
+    reps = _int_field("reps", cfg_dict.get("reps", 1000), 10)
     alpha = cfg_dict.get("alpha", 0.05)
-    seed = args.seed if args.seed is not None else cfg_dict.get("seed", 0)
+    if not isinstance(alpha, float) or not 0.0 < alpha < 1.0:
+        raise ConfigError(f"config field 'alpha' must be a number in (0, 1), got {alpha!r}")
+    seed = _seed(args, cfg_dict.get("seed", 0))
 
     study = inference.power_study(spec, methods, reps=reps, seed=seed, alpha=alpha)
     report = _report_envelope(cfg_dict, seed)
@@ -263,9 +239,8 @@ def cmd_power_study(args):
     _write_report(args.out, report)
     csv_target = cfg_dict.get("records_csv")
     if csv_target:
-        labels = [c.label or f"{c.method}[{i}]" for i, c in enumerate(methods)]
         with open(csv_target, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["replicate", *labels])
+            writer = csv.DictWriter(fh, fieldnames=["replicate", *(c.label for c in methods)])
             writer.writeheader()
             writer.writerows(_jsonable(list(study.records)))
     return EXIT_OK
@@ -276,8 +251,7 @@ def cmd_generate(args):
     if "spec" not in cfg_dict:
         raise ConfigError("missing config field 'spec'")
     spec = synthetic_spec_from_dict(cfg_dict["spec"])
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = dataclasses.replace(spec, seed=_seed(args, spec.seed))
     data = generate_trial(spec)
     write_csv(data, args.out)
     return EXIT_OK
@@ -320,9 +294,7 @@ def _build_parser():
     p.set_defaults(func=cmd_power_study)
 
     p = sub.add_parser("generate", help="write a synthetic trial to CSV")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    common(p)
     p.set_defaults(func=cmd_generate)
     return parser
 

@@ -44,6 +44,21 @@ def _optional(d, key, kind, default, where):
     return _require(d, key, kind, where)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_vector(value):
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _vector(d, key, where):
+    value = d.get(key, [])
+    if not _is_vector(value):
+        raise ConfigError(f"config field {where}{key!r} must be a list of numbers, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything needed to run Stage-1 + Stage-2 on one dataset."""
@@ -133,8 +148,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"null_sim.method must be parametric or permutation, got {cfg.null_method!r}"
             )
-        if cfg.null_reps < 0:
-            raise ConfigError("null_sim.reps must be >= 0")
+        if cfg.null_reps != 0 and cfg.null_reps < 100:
+            raise ConfigError(f"null_sim.reps must be 0 (no null) or >= 100, got {cfg.null_reps}")
         if cfg.n_trees < 1:
             raise ConfigError("screening.boosting.n_trees must be >= 1")
         if not 0.0 < cfg.shrinkage <= 1.0:
@@ -158,16 +173,21 @@ def synthetic_spec_from_dict(d: dict) -> SyntheticSpec:
     family = family_from_name(_require(d, "family", str, "spec."))
     n = _require(d, "n", int, "spec.")
     p = _require(d, "p", int, "spec.")
+    rho = d.get("covariate_correlation", 0.0)
+    if not (_is_number(rho) or isinstance(rho, list) and all(map(_is_vector, rho))):
+        raise ConfigError(
+            f"config field spec.'covariate_correlation' must be a number or a matrix, got {rho!r}"
+        )
     return SyntheticSpec(
         n=n,
         p=p,
         family=family,
         intercept=_optional(d, "intercept", float, 0.0, "spec."),
-        main_effects=tuple(d.get("main_effects", ())),
+        main_effects=_vector(d, "main_effects", "spec."),
         treatment_effect=_optional(d, "treatment_effect", float, 0.0, "spec."),
-        interaction_effects=tuple(d.get("interaction_effects", ())),
-        adjust_effects=tuple(d.get("adjust_effects", ())),
-        covariate_correlation=d.get("covariate_correlation", 0.0),
+        interaction_effects=_vector(d, "interaction_effects", "spec."),
+        adjust_effects=_vector(d, "adjust_effects", "spec."),
+        covariate_correlation=rho,
         noise_sd=_optional(d, "noise_sd", float, 1.0, "spec."),
         seed=_optional(d, "seed", int, 0, "spec."),
     )

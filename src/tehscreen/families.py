@@ -18,32 +18,15 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class Family:
-    """One exponential-family member with its canonical link."""
+    """One exponential-family member with its canonical link.
+
+    Members define check_response, inverse_link, initial_mu, irls_weights
+    (the working weights for one IRLS step, dispersion excluded),
+    log_likelihood, deviance and dispersion (the scale factor multiplying
+    (X'WX)^-1 to give the coefficient covariance).
+    """
 
     name: str
-
-    def check_response(self, y):
-        raise NotImplementedError
-
-    def inverse_link(self, eta):
-        raise NotImplementedError
-
-    def initial_mu(self, y):
-        raise NotImplementedError
-
-    def irls_weights(self, mu):
-        """Working weights for one IRLS step (dispersion excluded)."""
-        raise NotImplementedError
-
-    def log_likelihood(self, y, mu):
-        raise NotImplementedError
-
-    def deviance(self, y, mu):
-        raise NotImplementedError
-
-    def dispersion(self, y, mu):
-        """Scale factor multiplying (X'WX)^-1 to give the coefficient covariance."""
-        raise NotImplementedError
 
     def __repr__(self):
         return f"Family({self.name})"

@@ -151,17 +151,21 @@ def make_design(columns, origin) -> DesignMatrix:
     )
 
 
+def _arm_and_adjust_block(data: TrialDataset):
+    """The (columns, origin) of [arm-A intercept | arm-B intercept | adjusters]."""
+    t = data.treatment.astype(float)
+    columns = [t, 1.0 - t] + [data.x_adjust[:, j] for j in range(data.p_c)]
+    origin = [("arm_intercept", arm) for arm in "AB"] + [("adjust", j) for j in range(data.p_c)]
+    return columns, origin
+
+
 def build_additive_design(data: TrialDataset) -> DesignMatrix:
     """Main-effects design: [candidates | arm-A intercept | arm-B intercept | adjusters]."""
     if data.n < data.p + data.p_c + 2:
         raise DataError(f"n={data.n} too small for p={data.p}, p_c={data.p_c}")
-    t = data.treatment.astype(float)
-    columns = [data.x_candidates[:, j] for j in range(data.p)]
-    origin = [("candidate", j) for j in range(data.p)]
-    columns += [t, 1.0 - t]
-    origin += [("arm_intercept", "A"), ("arm_intercept", "B")]
-    columns += [data.x_adjust[:, j] for j in range(data.p_c)]
-    origin += [("adjust", j) for j in range(data.p_c)]
+    columns, origin = _arm_and_adjust_block(data)
+    columns = [data.x_candidates[:, j] for j in range(data.p)] + columns
+    origin = [("candidate", j) for j in range(data.p)] + origin
     return make_design(columns, origin)
 
 
@@ -178,16 +182,11 @@ def build_interaction_design(data: TrialDataset) -> DesignMatrix:
     if data.n < 2 * k + data.p_c + 2:
         raise DataError(f"n={data.n} too small for K={k} arm-specific blocks")
 
-    t = data.treatment.astype(float)
-    columns = [xk[:, j] * t for j in range(k)]
-    origin = [("arm_candidate", "A", j) for j in range(k)]
-    columns += [xk[:, j] * (1.0 - t) for j in range(k)]
-    origin += [("arm_candidate", "B", j) for j in range(k)]
-    columns += [t, 1.0 - t]
-    origin += [("arm_intercept", "A"), ("arm_intercept", "B")]
-    columns += [data.x_adjust[:, j] for j in range(data.p_c)]
-    origin += [("adjust", j) for j in range(data.p_c)]
-    return make_design(columns, origin)
+    block, block_origin = _arm_and_adjust_block(data)
+    t, not_t = block[:2]
+    columns = [xk[:, j] * t for j in range(k)] + [xk[:, j] * not_t for j in range(k)]
+    origin = [("arm_candidate", arm, j) for arm in "AB" for j in range(k)]
+    return make_design(columns + block, origin + block_origin)
 
 
 def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_RTOL) -> GlmFit:

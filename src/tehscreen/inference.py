@@ -20,8 +20,9 @@ import numpy as np
 from . import glm, screening as scr
 from .config import PipelineConfig
 from .data_model import SyntheticSpec, TrialDataset, generate_trial
-from .errors import DataError, NullSimulationError, TehScreenError
+from .errors import ConfigError, DataError, NullSimulationError, TehScreenError
 from .families import BINOMIAL, GAUSSIAN, Family
+from .pca import compute_pca
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -147,20 +148,17 @@ def _additive_predictor_parts(data: TrialDataset, family: Family):
 
 
 def simulate_null(
-    data: TrialDataset,
-    family: Family,
-    cfg: PipelineConfig,
-    reps: int,
-    seed: int,
-    method: str = "parametric",
+    data: TrialDataset, cfg: PipelineConfig, reps: int, seed: int
 ) -> NullDistribution:
     """Empirical H0 distribution of the configured pipeline's raw p-value.
 
+    The family and the null method (``cfg.null_method``) come from ``cfg``.
     parametric: outcomes regenerated from the additive fit to the real data
     (treatment effect retained, interactions zero) with freshly permuted arm
     labels each replicate. permutation: labels permuted, outcomes untouched.
     Replicates whose fits fail are dropped; more than 5% failures aborts.
     """
+    family, method = cfg.family, cfg.null_method
     if reps < 100:
         raise DataError("null simulation needs reps >= 100")
     if method not in ("parametric", "permutation"):
@@ -234,21 +232,29 @@ def validate_theorem(
     spec: SyntheticSpec,
     reps: int,
     seed: int,
-    projection: np.ndarray | None = None,
+    projected: bool = False,
     screen_k: int | None = None,
 ) -> SimulationReport:
     """Empirical independence check of screening statistics and arm differences.
 
     Per H0 replicate, collects the standardized additive coefficients and the
-    standardized between-arm differences (through the fixed projection when
-    one is given, exercising the linear-map extension), plus the Stage-2
-    p-value after a full-model screen. Reports the cross-correlation matrix,
-    its maximum absolute entry, and the KS distance of the screened p-values.
+    standardized between-arm differences, plus the Stage-2 p-value after a
+    full-model screen of ``screen_k`` (default min(3, p)) candidates. With
+    ``projected``, every replicate's candidates first pass through one fixed
+    linear map, exercising the linear-map extension: the standardized PCA
+    loadings of a reference trial drawn from the master seed at an index no
+    replicate reaches. Reports the cross-correlation matrix, its
+    maximum absolute entry, and the KS distance of the screened p-values.
     """
     if any(v != 0.0 for v in spec.interaction_effects):
         raise DataError("theorem validation requires an H0 spec (zero interaction effects)")
     family = spec.family
-    k_screen = screen_k or min(3, spec.p)
+    k_screen = min(3, spec.p) if screen_k is None else screen_k
+    projection = None
+    if projected:
+        ref = generate_trial(_respec(spec, derive_seed(seed, 2**30)))
+        res = compute_pca(ref.x_candidates, standardize=True)
+        projection = res.loadings / res.scale[:, None]
 
     def one(r):
         d = generate_trial(_respec(spec, derive_seed(seed, r)))
@@ -277,7 +283,7 @@ def validate_theorem(
         summary={
             "reps": reps,
             "family": family.name,
-            "projected": projection is not None,
+            "projected": projected,
             "cross_correlation": corr.tolist(),
             "max_abs_correlation": float(np.max(np.abs(corr))),
             "correlation_bound_3_over_sqrt_reps": 3.0 / np.sqrt(reps),
@@ -295,10 +301,15 @@ def power_study(
     seed: int,
     alpha: float = 0.05,
 ) -> SimulationReport:
-    """Paired rejection rates: every method sees the identical replicate data."""
+    """Paired rejection rates: every method sees the identical replicate data.
+
+    Methods are keyed by label, so every label must be nonempty and distinct.
+    """
     if all(v == 0.0 for v in h1_spec.interaction_effects):
         raise DataError("power study requires nonzero interaction effects")
-    labels = [cfg.label or f"{cfg.method}[{i}]" for i, cfg in enumerate(methods)]
+    labels = [cfg.label for cfg in methods]
+    if "" in labels or len(set(labels)) != len(labels):
+        raise ConfigError(f"power-study methods need distinct nonempty labels, got {labels}")
 
     def one(r):
         d = generate_trial(_respec(h1_spec, derive_seed(seed, r)))

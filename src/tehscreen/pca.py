@@ -52,9 +52,7 @@ def compute_pca(x, standardize: bool = True) -> PcaResult:
         scale = np.ones(m)
 
     _, s, vt = np.linalg.svd(z, full_matrices=n < m)
-    loadings = vt.T[:, :m]
-    if loadings.shape[1] < m:  # pad: svd only returns min(n, m) right vectors
-        loadings = np.hstack([loadings, np.zeros((m, m - loadings.shape[1]))])
+    loadings = vt.T  # m x m: full_matrices covers n < m
     variances = np.zeros(m)
     variances[: s.shape[0]] = s**2 / (n - 1)
 

@@ -121,11 +121,7 @@ def rank_univariate(data: TrialDataset, family: Family, k: int | None = None) ->
     adjuster, rank repair drops the candidate (p = 1, ranked last), never the
     adjuster.
     """
-    t = data.treatment.astype(float)
-    base_cols = [t, 1.0 - t] + [data.x_adjust[:, i] for i in range(data.p_c)]
-    base_origin = [("arm_intercept", "A"), ("arm_intercept", "B")] + [
-        ("adjust", i) for i in range(data.p_c)
-    ]
+    base_cols, base_origin = glm._arm_and_adjust_block(data)
     pvalues = []
     failures = []
     for j in range(data.p):

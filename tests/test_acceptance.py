@@ -72,12 +72,6 @@ def test_criterion_1_type_i_error_after_supervised_screening():
                   f"runtime={elapsed:.0f}s < 180s")
 
 
-def _fixed_pca_projection(spec, master):
-    ref = ts.generate_trial(dataclasses.replace(spec, seed=ts.derive_seed(master, 2**30)))
-    res = ts.compute_pca(ref.x_candidates, standardize=True)
-    return res.loadings / res.scale[:, None]
-
-
 def test_criterion_2_independence_correlations():
     # validate_theorem, 2000 reps, gaussian and binomial, raw and through a
     # fixed PCA projection: every cross-correlation within +/- 0.07, < 10 min.
@@ -96,9 +90,7 @@ def test_criterion_2_independence_correlations():
     worst = {}
     for name, spec in specs.items():
         plain = ts.validate_theorem(spec, reps=reps, seed=master)
-        projected = ts.validate_theorem(
-            spec, reps=reps, seed=master, projection=_fixed_pca_projection(spec, master)
-        )
+        projected = ts.validate_theorem(spec, reps=reps, seed=master, projected=True)
         worst[name] = plain.summary["max_abs_correlation"]
         worst[f"{name}+proj"] = projected.summary["max_abs_correlation"]
     elapsed = time.monotonic() - start
@@ -168,8 +160,8 @@ def test_criterion_6_chi_square_miscalibration_and_correction():
     )
     base = ts.generate_trial(spec)
     cfg = fixed_cfg("full_model", k=25, family="binomial")
-    null_a = ts.simulate_null(base, ts.BINOMIAL, cfg, reps=1000, seed=951)
-    null_b = ts.simulate_null(base, ts.BINOMIAL, cfg, reps=1000, seed=952)
+    null_a = ts.simulate_null(base, cfg, reps=1000, seed=951)
+    null_b = ts.simulate_null(base, cfg, reps=1000, seed=952)
     raw_rejection = float(np.mean(null_a.p_values <= 0.05))
     corrected = np.array([ts.correct_pvalue(p, null_b) for p in null_a.p_values])
     ks = uniform_ks_distance(corrected)

@@ -60,6 +60,12 @@ def test_config_rejects_data_adaptive_k():
 def test_config_rejects_bad_null_block():
     with pytest.raises(ConfigError, match="null_sim.method"):
         PipelineConfig.from_dict(minimal_cfg(null_sim={"reps": 100, "method": "bayes"}))
+    # reps is 0 (no null) or large enough for simulate_null, checked before any data is read
+    for reps in (-1, 1, 50, 99):
+        with pytest.raises(ConfigError, match="null_sim.reps"):
+            PipelineConfig.from_dict(minimal_cfg(null_sim={"reps": reps}))
+    for reps in (0, 100):
+        assert PipelineConfig.from_dict(minimal_cfg(null_sim={"reps": reps})).null_reps == reps
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +266,43 @@ def test_cli_validate_theorem(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["validate-theorem", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert _read(out)["summary"]["projected"] is True
+
+
+_SPEC = {"family": "gaussian", "n": 150, "p": 3, "main_effects": [0.5, 0.2, 0.0],
+         "treatment_effect": 0.3}
+_VALIDATE = {"spec": _SPEC, "reps": 150, "seed": 3}
+_POWER = {
+    "spec": {**_SPEC, "interaction_effects": [0.6, 0.0, 0.0]},
+    "reps": 40,
+    "methods": [{"label": "screened", "screening": {"method": "full_model"},
+                 "k_rule": {"rule": "fixed", "k": 1}}],
+}
+_UNLABELED = [{"screening": {"method": "full_model"}, "k_rule": {"rule": "fixed", "k": k}}
+              for k in (1, 3)]
+
+
+@pytest.mark.parametrize("command, cfg, argv, field", [
+    ("validate-theorem", {**_VALIDATE, "seed": "abc"}, [], "seed"),
+    ("validate-theorem", {**_VALIDATE, "seed": -1}, [], "seed"),
+    ("generate", {"spec": _SPEC}, ["--seed", "-1"], "seed"),
+    ("power-study", {**_POWER, "alpha": "0.05"}, [], "alpha"),
+    ("power-study", {**_POWER, "methods": _UNLABELED}, [], "label"),
+    ("validate-theorem", {**_VALIDATE, "screen_k": "2"}, [], "screen_k"),
+    ("validate-theorem", {**_VALIDATE, "screen_k": 0}, [], "screen_k"),
+    ("generate", {"spec": {**_SPEC, "main_effects": "ab"}}, [], "main_effects"),
+    ("generate", {"spec": {**_SPEC, "covariate_correlation": "high"}}, [],
+     "covariate_correlation"),
+    ("analyze", minimal_cfg(null_sim={"reps": 50}), ["--data", "missing.csv"], "null_sim.reps"),
+], ids=["seed-str", "seed-negative", "seed-flag-negative", "alpha-str", "labels-duplicate",
+        "screen_k-str", "screen_k-zero", "main_effects-str", "correlation-str", "null-reps-50"])
+def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), *argv])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert field in err["message"]
 
 
 def test_cli_power_study_and_missing_methods(tmp_path, capsys):

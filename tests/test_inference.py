@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import tehscreen as ts
 from tehscreen.config import PipelineConfig
-from tehscreen.errors import DataError
+from tehscreen.errors import ConfigError, DataError
 from tehscreen.inference import NullDistribution, uniform_ks_distance
 
 
@@ -81,8 +81,8 @@ def test_interaction_reports_df_repair_on_degenerate_projection():
 def test_simulate_null_deterministic():
     d = h0_data(11)
     cfg = pipeline_cfg()
-    a = ts.simulate_null(d, ts.GAUSSIAN, cfg, reps=100, seed=42)
-    b = ts.simulate_null(d, ts.GAUSSIAN, cfg, reps=100, seed=42)
+    a = ts.simulate_null(d, cfg, reps=100, seed=42)
+    b = ts.simulate_null(d, cfg, reps=100, seed=42)
     assert np.array_equal(a.p_values, b.p_values)
     assert a.reps == 100
 
@@ -90,21 +90,22 @@ def test_simulate_null_deterministic():
 def test_simulate_null_gaussian_uniform():
     d = h0_data(13, n=500, p=4, main=(0.8, 0.4, 0.2, 0.0))
     cfg = pipeline_cfg(k=2)
-    null = ts.simulate_null(d, ts.GAUSSIAN, cfg, reps=1000, seed=77)
+    null = ts.simulate_null(d, cfg, reps=1000, seed=77)
     assert uniform_ks_distance(null.p_values) < 0.05
 
 
 def test_simulate_null_permutation_variant():
     d = h0_data(14, n=300)
-    cfg = pipeline_cfg(k=2)
-    null = ts.simulate_null(d, ts.GAUSSIAN, cfg, reps=300, seed=5, method="permutation")
+    cfg = pipeline_cfg(k=2, null_sim={"method": "permutation"})
+    null = ts.simulate_null(d, cfg, reps=300, seed=5)
+    assert null.generator_spec["method"] == "permutation"
     assert uniform_ks_distance(null.p_values) < 0.1
 
 
 def test_simulate_null_requires_enough_reps():
     d = h0_data(15)
     with pytest.raises(DataError):
-        ts.simulate_null(d, ts.GAUSSIAN, pipeline_cfg(), reps=50, seed=1)
+        ts.simulate_null(d, pipeline_cfg(), reps=50, seed=1)
 
 
 def _uniform_null(reps, seed=0):
@@ -191,6 +192,22 @@ def test_power_study_smoke_and_determinism():
     for rate in a.summary["rejection_rates"].values():
         assert 0.0 <= rate <= 1.0
     assert len(a.records) == 60
+
+
+@pytest.mark.parametrize("labels", [(None, None), ("same", "same"), ("", "full")])
+def test_power_study_rejects_duplicate_or_empty_labels(labels):
+    # Unlabeled methods default to their method name, so two full_model
+    # screens would otherwise share one rate and one "a - a" pair.
+    spec = ts.SyntheticSpec(
+        n=150, p=3, family=ts.GAUSSIAN, main_effects=(0.8, 0.3, 0.0),
+        interaction_effects=(0.6, 0.0, 0.0), treatment_effect=0.3, seed=0,
+    )
+    methods = [
+        pipeline_cfg(k=k, **({} if label is None else {"label": label}))
+        for k, label in zip((1, 3), labels)
+    ]
+    with pytest.raises(ConfigError, match="label"):
+        ts.power_study(spec, methods, reps=10, seed=31)
 
 
 def test_power_study_replicate_depends_only_on_master_seed_and_index():

@@ -125,14 +125,16 @@ def cmd_sweep_k(args):
     cfg = PipelineConfig.from_dict(cfg_dict)
     if cfg.method == "irm":
         raise ConfigError("sweep-k does not apply to the K=1 internal-risk-model screen")
+    k_values = args.k_values or cfg_dict.get("k_values")
+    if not isinstance(k_values, list) or not k_values:
+        raise ConfigError(
+            f"config field 'k_values' must be a nonempty list (or use --k-values), got {k_values!r}"
+        )
+    k_values = [_int_field("k_values", v, 1) for v in k_values]
+
     seed = _seed(args, cfg.seed)
     data = _load_data(cfg_dict, args.data)
-
-    k_values = args.k_values or cfg_dict.get("k_values")
-    if not k_values:
-        raise ConfigError("missing config field 'k_values' (or pass --k-values)")
-    k_values = [int(v) for v in k_values]
-    if any(k < 1 or k > data.p for k in k_values):
+    if max(k_values) > data.p:
         raise ConfigError(f"k_values must lie in 1..p={data.p}")
 
     base = inference.run_screening(data, cfg, max(k_values))

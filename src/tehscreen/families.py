@@ -1,14 +1,14 @@
 """Exponential-family definitions shared by the GLM fitter and the data generator.
 
 Two members are supported: gaussian with identity link and binomial with
-logit link. The gaussian log-likelihood profiles out the variance
-(sigma2 = RSS/n), so likelihood-ratio statistics reduce to n*log(RSS0/RSS1).
+logit link, whose inverse is the closed form 1/(1 + exp(-eta)). The gaussian
+log-likelihood profiles out the variance (sigma2 = RSS/n), so likelihood-ratio
+statistics reduce to n*log(RSS0/RSS1).
 """
 
 import numpy as np
-from scipy.special import expit
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 # Guards: probability clipping applies inside likelihood evaluation only;
 # the variance floor keeps interpolating gaussian fits finite.
@@ -68,7 +68,9 @@ class Binomial(Family):
             raise DataError("binomial response must contain only 0 and 1")
 
     def inverse_link(self, eta):
-        return expit(eta)
+        # 1/(1+exp(-eta)) with eta floored at -700, so exp stays finite and
+        # emits no overflow warning; the floor moves mu by less than 1e-304.
+        return 1.0 / (1.0 + np.exp(-np.maximum(eta, -700.0)))
 
     def initial_mu(self, y):
         # Shrink toward 0.5 so the first working response is finite.
@@ -99,4 +101,6 @@ def family_from_name(name):
     try:
         return _BY_NAME[name.lower()]
     except KeyError:
-        raise DataError(f"unknown family {name!r}; expected one of {sorted(_BY_NAME)}") from None
+        raise ConfigError(
+            f"config field 'family' must be one of {sorted(_BY_NAME)}, got {name!r}"
+        ) from None

@@ -17,10 +17,10 @@ Later columns lose to earlier ones, so duplicates are removed
 deterministically; drops are recorded, never silent.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .data_model import TrialDataset
 from .errors import (
@@ -313,6 +313,11 @@ def lrt(null_fit: GlmFit, alt_fit: GlmFit, df: int):
 
     A negative statistic is rounded to zero while it is within what the two
     fits' IRLS stopping rules allow, LOGLIK_RTOL * (|ll| + 1) each.
+
+    df is an integer, so the upper tail at x > 0 is the finite sum of
+    Abramowitz & Stegun 26.4.4-5 with h = x/2: sum over i < df//2 of
+    exp(-h + a*log(h) - lgamma(a + 1)) with a = i for even df, and
+    erfc(sqrt(h)) plus that sum with a = i + 1/2 for odd df.
     """
     if df <= 0:
         raise NestingError(f"non-positive degrees of freedom: {df}")
@@ -323,7 +328,16 @@ def lrt(null_fit: GlmFit, alt_fit: GlmFit, df: int):
             f"alternative log-likelihood below null by {-statistic / 2:.3g}: models are not nested"
         )
     statistic = max(statistic, 0.0)
-    return statistic, float(chdtrc(df, statistic))
+    if statistic == 0.0:
+        return statistic, 1.0
+    h = 0.5 * statistic
+    log_h = math.log(h)
+    odd = df % 2
+    p = math.erfc(math.sqrt(h)) if odd else 0.0
+    for i in range(df // 2):
+        a = i + 0.5 * odd
+        p += math.exp(-h + a * log_h - math.lgamma(a + 1.0))
+    return statistic, p
 
 
 def standardized_arm_difference(interaction_fit: GlmFit, k: int) -> np.ndarray:

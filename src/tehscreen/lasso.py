@@ -214,19 +214,21 @@ def _binomial_outer(design, y, theta, lam, q):
     """Penalized IRLS: quadratic approximation outside, coordinate descent inside.
 
     Each outer step forms the weighted Gram matrix D'WD/n and the gradient
-    D'(y - mu)/n of the working quadratic once. Returns the total CD sweeps.
+    D'(y - mu)/n of the working quadratic once; the fitted probabilities of
+    one step's objective are the next step's starting point. Returns the
+    total CD sweeps.
     """
     n = design.shape[0]
     obj_old = np.inf
     sweeps = 0
+    prob = BINOMIAL.inverse_link(design @ theta)
     for _ in range(OUTER_MAX):
-        eta = design @ theta
-        mu = np.clip(BINOMIAL.inverse_link(eta), 1e-10, 1.0 - 1e-10)
+        mu = np.clip(prob, 1e-10, 1.0 - 1e-10)
         gram = design.T @ (design * (mu * (1.0 - mu))[:, None]) / n
         grad = design.T @ (y - mu) / n
         sweeps += _cd(gram, grad, theta, lam, q)
-        eta = design @ theta
-        obj = -BINOMIAL.log_likelihood(y, BINOMIAL.inverse_link(eta)) / n + lam * np.abs(theta[q:]).sum()
+        prob = BINOMIAL.inverse_link(design @ theta)
+        obj = -BINOMIAL.log_likelihood(y, prob) / n + lam * np.abs(theta[q:]).sum()
         if abs(obj_old - obj) <= OUTER_TOL * (abs(obj) + 1.0):
             return sweeps
         obj_old = obj

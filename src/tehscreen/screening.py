@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import boosting, glm, lasso
 from .data_model import TrialDataset
@@ -92,9 +91,10 @@ def _order_by_pvalue(pvalues):
 
 
 def _wald_pvalues(fit: glm.GlmFit, p: int):
-    """Two-sided Wald p per candidate index; rank-repaired candidates get p = 1."""
-    z = fit.wald_z(p)
-    return np.where(np.isnan(z), 1.0, 2.0 * ndtr(-np.abs(z))).tolist()
+    """Two-sided Wald p = erfc(|z| / sqrt(2)) per candidate index; rank-repaired
+    candidates (z is NaN) get p = 1."""
+    sqrt_half = math.sqrt(0.5)
+    return [1.0 if math.isnan(z) else math.erfc(abs(z) * sqrt_half) for z in fit.wald_z(p).tolist()]
 
 
 def rank_full_model(data: TrialDataset, family: Family, k: int | None = None) -> ScreeningResult:

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -332,9 +333,39 @@ def test_lrt_chi_square_quantile():
 def test_lrt_pvalue_equals_scipy_chi2_sf(df):
     from scipy.stats import chi2
 
+    # glm.lrt's closed-form tail sum and scipy's incomplete gamma differ in
+    # the last bits: at most 2.2e-13 relative over df 1-60 and x <= 1400.
     for statistic in (0.0, 1e-3, 0.5 * df, df, 2.0 * df + 7.0, 300.0):
         _, p = ts.lrt(_fit_with_loglik(0.0), _fit_with_loglik(statistic / 2.0), df)
-        assert p == chi2.sf(statistic, df)
+        assert p == pytest.approx(chi2.sf(statistic, df), rel=1e-12, abs=0.0)
+
+
+def test_lrt_pvalue_matches_scipy_chi2_sf_on_a_grid():
+    from scipy.stats import chi2
+
+    statistics = np.concatenate([[1e-12, 1e-6, 1e-3], np.linspace(0.0, 1400.0, 701)[1:]])
+    for df in range(1, 61):
+        assert ts.lrt(_fit_with_loglik(-3.0), _fit_with_loglik(-3.0), df)[1] == 1.0
+        p = np.array([ts.lrt(_fit_with_loglik(0.0), _fit_with_loglik(x / 2.0), df)[1]
+                      for x in statistics])
+        oracle = chi2.sf(statistics, df)
+        keep = oracle >= 1e-300
+        assert np.all(np.abs(p[keep] - oracle[keep]) <= 1e-12 * oracle[keep]), df
+
+
+def test_logistic_link_matches_scipy_expit():
+    from scipy.special import expit
+
+    eta = np.concatenate([np.linspace(-700.0, 700.0, 140001), [-1e-300, 1e-300]])
+    assert np.all(np.abs(ts.BINOMIAL.inverse_link(eta) - expit(eta)) <= 1e-15 * expit(eta))
+
+
+def test_logistic_link_saturates_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = ts.BINOMIAL.inverse_link(np.array([-1e4, 1e4]))
+        scalar = ts.BINOMIAL.inverse_link(-1e4)
+    assert np.all((mu >= 0.0) & (mu <= 1.0)) and 0.0 <= scalar <= 1.0
 
 
 def test_lrt_gaussian_closed_form():

@@ -1,5 +1,6 @@
-"""Repository hygiene: the README names only paths that exist, and every
-committed scenario parses as a power-study config."""
+"""Repository hygiene: the README names only paths that exist and the
+dependencies pyproject.toml declares, and every committed scenario parses as
+a power-study config."""
 
 import json
 import pathlib
@@ -24,6 +25,25 @@ def test_readme_names_only_existing_paths():
     ]
     assert paths and modules
     assert missing == []
+
+
+def _readme_packages(label):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    line = re.search(rf"^{label}: (.*)$", text, re.MULTILINE)
+    return sorted(re.findall(r"`([\w-]+)`", line.group(1))) if line else None
+
+
+def _declared_packages(requirements):
+    return sorted(re.match(r"[\w-]+", req).group(0) for req in requirements)
+
+
+def test_readme_dependencies_match_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert _readme_packages("Dependencies") == _declared_packages(project["dependencies"])
+    assert _readme_packages("Test dependencies") == _declared_packages(
+        project["optional-dependencies"]["test"]
+    )
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.json")), ids=lambda p: p.name)

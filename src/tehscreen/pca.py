@@ -33,7 +33,7 @@ class PcaResult:
 
 def compute_pca(x, standardize: bool = True) -> PcaResult:
     """Full PCA of an n x m matrix (all m components retained)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
     n, m = x.shape
     if m == 0:
         raise DataError("PCA input has no columns")

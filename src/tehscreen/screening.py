@@ -180,12 +180,7 @@ def screen_pca_single_stage(
     the raw candidate matrix; the dropped centering only shifts columns by
     constants that the arm intercepts absorb.
     """
-    return _pca_screen(data, data.x_candidates, family, supervised, k, standardize, n_lambda)
-
-
-def _pca_screen(data, x, family, supervised, k, standardize, n_lambda) -> ScreeningResult:
-    """The PCA screen of the candidate block ``x``; ``data`` supplies y, arms and adjusters."""
-    res = compute_pca(x, standardize=standardize)
+    res = compute_pca(data.x_candidates, standardize=standardize)
     raw_projection = res.loadings / res.scale[:, None]
     if supervised:
         pc_data = data.with_candidates(res.scores, tuple(f"PC{i + 1}" for i in range(res.m)))
@@ -244,16 +239,15 @@ def screen_multi_stage(
         selected = sorted(path.entry_order)
         trace["entry_order"] = list(path.entry_order)
 
-    # The column-indexed block is Fortran-ordered, and the PCA's centering sums
-    # in a layout-dependent order, so it goes to the screen as indexed.
     subset = selected or list(range(data.p))
-    x = data.x_candidates[:, selected] if selected else data.x_candidates
-    pca = _pca_screen(data, x, family, pc_rank == "supervised", k, standardize, n_lambda)
+    names = [data.candidate_names[j] for j in subset]
+    sub = data.with_candidates(data.x_candidates[:, subset], names)
+    pca = screen_pca_single_stage(sub, family, pc_rank == "supervised", k, standardize, n_lambda)
     if selected:
         m = len(selected)
         trace["m_selected"] = m
         trace["selected_indices"] = selected
-        trace["selected_names"] = [data.candidate_names[j] for j in selected]
+        trace["selected_names"] = names
         requested = k if k is not None else m
         if requested > m:
             trace["k_capped"] = {"requested": requested, "m": m}

@@ -36,18 +36,18 @@ def ols_rss(X, y):
     return float(r @ r)
 
 
-def exhaustive_best_stump(columns, r):
-    """Scan every variable and every midpoint threshold for the best split.
+def exhaustive_splits(columns, r):
+    """Every (variable, midpoint threshold) split of ``r``, in scan order.
 
-    Returns (variable, threshold, left_mean, right_mean, improvement) where
-    improvement = SSE(parent) - SSE(left) - SSE(right) under mean predictions.
-    Ties break to the lowest variable index, then the lowest threshold.
+    Each entry is (variable, threshold, left_mean, right_mean, improvement)
+    with improvement = SSE(parent) - SSE(left) - SSE(right) under mean
+    predictions, every sum taken explicitly.
     """
     r = np.asarray(r, dtype=float)
     n = r.shape[0]
     parent_mean = np.sum(r) / n
     sse_parent = float(np.sum((r - parent_mean) ** 2))
-    best = None
+    splits = []
     for v, x in enumerate(columns):
         x = np.asarray(x, dtype=float)
         values = np.unique(x)
@@ -57,10 +57,30 @@ def exhaustive_best_stump(columns, r):
             right = r[x > threshold]
             ml, mr = np.sum(left) / left.size, np.sum(right) / right.size
             sse = float(np.sum((left - ml) ** 2)) + float(np.sum((right - mr) ** 2))
-            improvement = sse_parent - sse
-            if best is None or improvement > best[4]:
-                best = (v, threshold, float(ml), float(mr), improvement)
+            splits.append((v, threshold, float(ml), float(mr), sse_parent - sse))
+    return splits
+
+
+def exhaustive_best_stump(columns, r):
+    """The best split of ``exhaustive_splits``: (variable, threshold, left_mean, right_mean, improvement).
+
+    Ties break to the lowest variable index, then the lowest threshold.
+    """
+    best = None
+    for split in exhaustive_splits(columns, r):
+        if best is None or split[4] > best[4]:
+            best = split
     return best
+
+
+def boost_predict(model, columns):
+    """Stump-ensemble prediction on the working scale from the scan-order ``columns``."""
+    x = np.column_stack(columns)
+    f = np.full(x.shape[0], model.initial_value)
+    for stump in model.stumps:
+        go_left = x[:, stump.split_variable] <= stump.split_value
+        f = f + model.shrinkage * np.where(go_left, stump.left_value, stump.right_value)
+    return f
 
 
 def pca_via_eigh(x, standardize=True):

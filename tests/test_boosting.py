@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import tehscreen as ts
-from tehscreen.boosting import BoostModel, predict
+from tehscreen.boosting import BoostModel
 from tehscreen.errors import DataError
 
-from _oracles import exhaustive_best_stump
+from _oracles import boost_predict, exhaustive_best_stump, exhaustive_splits
 
 
 def dataset_from_columns(y, t, columns, adjust=None):
@@ -81,6 +81,81 @@ def test_first_stump_exact_on_dyadic_data():
     assert stump.improvement == oracle[4] == 1.5625
 
 
+NEAR_TIE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL], ids=["gaussian", "binomial"])
+@pytest.mark.parametrize("seed", range(4))
+def test_every_stump_of_a_sequence_matches_exhaustive_search(family, seed):
+    # The search ranks splits by n D_k^2 / (k (n - k)) on the centered working
+    # response, which equals the oracle's SSE reduction up to rounding. A
+    # stump may pick another split only where the oracle's top two
+    # improvements are within NEAR_TIE_RTOL of each other; its improvement
+    # always matches within NEAR_TIE_RTOL x SSE(parent).
+    spec = ts.SyntheticSpec(
+        n=60, p=3, family=family, main_effects=(0.8, 0.4, 0.0), treatment_effect=0.3,
+        seed=ts.derive_seed(41, seed),
+    )
+    d = ts.generate_trial(spec)
+    model = ts.fit_boost(d, family, n_trees=25, shrinkage=0.1)
+    assert len(model.stumps) == 25
+    columns = [*d.x_candidates.T, d.treatment.astype(float)]
+    f = np.full(d.n, model.initial_value)
+    for stump in model.stumps:
+        mu = f if family is ts.GAUSSIAN else 1.0 / (1.0 + np.exp(-f))
+        r = d.y - mu
+        sse_parent = float(np.sum((r - np.sum(r) / d.n) ** 2))
+        top = sorted((s[4] for s in exhaustive_splits(columns, r)), reverse=True)[:2]
+        oracle = exhaustive_best_stump(columns, r)
+        if top[0] - top[1] > NEAR_TIE_RTOL * abs(top[0]):
+            assert (stump.split_variable, stump.split_value) == (oracle[0], oracle[1])
+            assert stump.left_value == pytest.approx(oracle[2], rel=1e-12, abs=1e-14)
+            assert stump.right_value == pytest.approx(oracle[3], rel=1e-12, abs=1e-14)
+        assert abs(stump.improvement - oracle[4]) <= NEAR_TIE_RTOL * sse_parent
+        x = columns[stump.split_variable]
+        f = f + model.shrinkage * np.where(x <= stump.split_value, stump.left_value, stump.right_value)
+
+
+def test_duplicate_candidate_loses_every_split_to_its_lower_index_twin():
+    rng = np.random.default_rng(11)
+    n = 80
+    t = np.array([1, 0] * (n // 2))
+    signal = rng.standard_normal(n)
+    y = signal + 0.5 * rng.standard_normal(n)
+    d = dataset_from_columns(y, t, [rng.standard_normal(n), signal, signal.copy()])
+    model = ts.fit_boost(d, ts.GAUSSIAN, n_trees=60, shrinkage=0.1)
+    used = {s.split_variable for s in model.stumps}
+    assert 1 in used and 2 not in used
+    assert model.relative_influence[1] > 0.0
+    assert model.relative_influence[2] == 0.0
+
+
+def test_constant_candidate_never_splits():
+    rng = np.random.default_rng(12)
+    n = 60
+    t = np.array([1, 0] * (n // 2))
+    d = dataset_from_columns(rng.standard_normal(n), t, [np.full(n, 2.5), rng.standard_normal(n)])
+    model = ts.fit_boost(d, ts.GAUSSIAN, n_trees=100, shrinkage=0.1)
+    assert len(model.stumps) == 100
+    assert all(s.split_variable != 0 for s in model.stumps)
+    assert model.relative_influence[0] == 0.0
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL], ids=["gaussian", "binomial"])
+@pytest.mark.parametrize("value", [1.0, 0.0])
+def test_constant_outcome_fits_no_stumps(family, value):
+    # At y = 0 the binomial working response -expit(f0) is constant only up
+    # to rounding: without the constant-outcome rule it scored ~1e-50 splits.
+    rng = np.random.default_rng(13)
+    n = 41
+    t = np.array([1, 0] * 21)[:n]
+    d = dataset_from_columns(np.full(n, value), t, [rng.standard_normal(n), rng.standard_normal(n)])
+    model = ts.fit_boost(d, family, n_trees=20, shrinkage=0.1)
+    assert model.stumps == ()
+    assert np.array_equal(model.relative_influence, np.zeros(2))
+    assert ts.select_by_influence(model, 0.0) == []
+
+
 def test_select_by_influence_threshold_rule():
     model = BoostModel(
         stumps=(), shrinkage=0.1, initial_value=0.0,
@@ -135,9 +210,10 @@ def test_one_tree_full_shrinkage_prediction_is_best_stump_fit():
     d = ts.generate_trial(spec)
     model = ts.fit_boost(d, ts.GAUSSIAN, n_trees=1, shrinkage=1.0)
     stump = model.stumps[0]
-    x = np.hstack([d.x_candidates, d.treatment[:, None]])[:, stump.split_variable]
+    columns = [*d.x_candidates.T, d.treatment.astype(float)]
+    x = columns[stump.split_variable]
     expected = d.y.mean() + np.where(x <= stump.split_value, stump.left_value, stump.right_value)
-    assert np.allclose(predict(model, d), expected)
+    assert np.allclose(boost_predict(model, columns), expected)
 
 
 def test_insufficient_data_rejected():

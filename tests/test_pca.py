@@ -100,3 +100,20 @@ def test_empty_and_tiny_inputs_rejected():
         ts.compute_pca(np.empty((5, 0)))
     with pytest.raises(DataError):
         ts.compute_pca(np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_memory_layout_does_not_change_a_bit(standardize):
+    # Column-indexing gives a Fortran-ordered block; the centering and scaling
+    # must reduce in the same order as for the C-ordered copy of the values.
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((123, 7)) * np.linspace(0.3, 3.0, 7) + 10.0
+    c = np.ascontiguousarray(x[:, [6, 1, 4, 0]])
+    f = np.asfortranarray(c)
+    assert f.flags.f_contiguous and not f.flags.c_contiguous
+    a = ts.compute_pca(c, standardize=standardize)
+    b = ts.compute_pca(f, standardize=standardize)
+    assert np.array_equal(a.loadings, b.loadings)
+    assert np.array_equal(a.score_variances, b.score_variances)
+    assert np.array_equal(a.scores, b.scores)
+    assert np.array_equal(a.center, b.center) and np.array_equal(a.scale, b.scale)

@@ -4,12 +4,13 @@ Stumps are fitted stagewise to the negative-gradient working response
 (gaussian: residuals, binomial: y - p). Every stump scans all candidate and
 adjustment covariates plus the treatment indicator; split thresholds are the
 midpoints between consecutive sorted unique values. A split with k of n
-observations on the left reduces the squared error by k(n-k)/n (mean_L -
-mean_R)^2 = n D_k^2 / (k(n-k)), D_k the left sum of the centered working
-response (Friedman 2001, Ann. Stat. 29(5), eq. 45), so one cumulative sum per
-tree scores every split. This differs from the SSE reduction of an exhaustive
-search only by rounding: the chosen split can differ only where the two best
-improvements are within 1e-12 relative of each other.
+observations on the left reduces the squared error by
+    k (n - k) / n * (mean_L - mean_R)^2 = n D_k^2 / (k (n - k)),
+D_k the left sum of the centered working response (Friedman 2001, Ann. Stat.
+29(5), eq. 45), so one cumulative sum per tree scores every split. This
+differs from the SSE reduction of an exhaustive search only by rounding: the
+chosen split can differ only where the two best improvements are within
+1e-12 relative of each other.
 
 Relative influence normalizes each candidate's accumulated squared-error
 reduction to sum to 100 over the candidate block; improvements on the

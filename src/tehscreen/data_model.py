@@ -7,7 +7,7 @@ pipeline once per complete input file.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,10 @@ class TrialDataset:
         Interaction-candidate covariates.
     x_adjust : (n, p_c) float array
         Covariates adjusted for but never tested for interaction (p_c may be 0).
+
+    Blocks are frozen (read-only) and checked on construction. A derived dataset
+    (``with_*``) freezes and checks only the block it replaces, plus the row
+    counts and the names, and shares its parent's other blocks.
     """
 
     y: np.ndarray
@@ -45,28 +49,27 @@ class TrialDataset:
     adjust_names: tuple = ()
 
     def __post_init__(self):
-        y = _freeze(np.asarray(self.y, dtype=float))
-        t = _freeze(np.asarray(self.treatment, dtype=int))
-        xs = _freeze(np.atleast_2d(np.asarray(self.x_candidates, dtype=float)))
-        xc = np.asarray(self.x_adjust, dtype=float)
-        if xc.size == 0:
-            xc = np.empty((y.shape[0], 0))
-        xc = _freeze(np.atleast_2d(xc))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "treatment", t)
-        object.__setattr__(self, "x_candidates", xs)
-        object.__setattr__(self, "x_adjust", xc)
+        if np.size(self.x_adjust) == 0:
+            object.__setattr__(self, "x_adjust", np.empty((np.shape(self.y)[0], 0)))
+        self._check(("y", "treatment", "x_candidates", "x_adjust"))
 
+    def _check(self, blocks):
+        """Freeze and check the named blocks, then the row counts and the names."""
+        for name in blocks:
+            a = np.asarray(getattr(self, name), dtype=int if name == "treatment" else float)
+            object.__setattr__(self, name, _freeze(np.atleast_2d(a) if name.startswith("x_") else a))
+        y, t, xs, xc = self.y, self.treatment, self.x_candidates, self.x_adjust
         n = y.shape[0]
         if t.shape != (n,) or xs.shape[0] != n or xc.shape[0] != n:
             raise DataError("y, treatment, and covariate matrices must share the row count")
-        for name, arr in (("y", y), ("x_candidates", xs), ("x_adjust", xc)):
-            if not np.all(np.isfinite(arr)):
+        for name in ("y", "x_candidates", "x_adjust"):
+            if name in blocks and not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"{name} contains non-finite values")
-        if not np.all(np.isin(t, (0, 1))):
-            raise DataError("treatment indicator must contain only 0 and 1")
-        if t.min() == t.max():
-            raise DegenerateDesignError("treatment column is constant; both arms are required")
+        if "treatment" in blocks:
+            if not np.all((t == 0) | (t == 1)):
+                raise DataError("treatment indicator must contain only 0 and 1")
+            if t.min() == t.max():
+                raise DegenerateDesignError("treatment column is constant; both arms are required")
 
         cn = tuple(self.candidate_names) or tuple(f"x{j + 1}" for j in range(xs.shape[1]))
         an = tuple(self.adjust_names) or tuple(f"c{j + 1}" for j in range(xc.shape[1]))
@@ -89,15 +92,21 @@ class TrialDataset:
     def p_c(self):
         return self.x_adjust.shape[1]
 
+    def _derive(self, block, value, **names):
+        derived = object.__new__(type(self))
+        vars(derived).update(vars(self), **{block: value}, **names)
+        derived._check((block,))
+        return derived
+
     def with_candidates(self, x_new, names):
         """Derived dataset with the candidate block replaced (same y/arm/adjusters)."""
-        return replace(self, x_candidates=x_new, candidate_names=tuple(names))
+        return self._derive("x_candidates", x_new, candidate_names=tuple(names))
 
     def with_outcome(self, y_new):
-        return replace(self, y=y_new)
+        return self._derive("y", y_new)
 
     def with_treatment(self, t_new):
-        return replace(self, treatment=t_new)
+        return self._derive("treatment", t_new)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ class Binomial(Family):
     name = "binomial"
 
     def check_response(self, y):
-        if not np.all(np.isin(y, (0.0, 1.0))):
+        if not np.all((y == 0.0) | (y == 1.0)):
             raise DataError("binomial response must contain only 0 and 1")
 
     def inverse_link(self, eta):

@@ -53,7 +53,6 @@ class DesignMatrix:
     matrix: np.ndarray
     origin: tuple
     dropped_columns: tuple = ()
-    dropped_origin: tuple = ()
 
     @property
     def n(self):
@@ -139,22 +138,21 @@ def _cholesky(gram, tol=RANK_TOL):
 
 
 def make_design(columns, origin) -> DesignMatrix:
-    """Assemble a design from columns and apply rank repair."""
+    """Assemble a design from columns or column blocks; rank repair copies it only to drop one."""
     matrix = np.column_stack(columns) if columns else np.empty((0, 0))
     _, kept = _cholesky(matrix.T @ matrix)
-    dropped = sorted(set(range(matrix.shape[1])).difference(kept))
+    dropped = tuple(sorted(set(range(matrix.shape[1])).difference(kept)))
     return DesignMatrix(
-        matrix=np.ascontiguousarray(matrix[:, kept]),
+        matrix=np.ascontiguousarray(matrix[:, kept]) if dropped else matrix,
         origin=tuple(origin[k] for k in kept),
-        dropped_columns=tuple(dropped),
-        dropped_origin=tuple(origin[k] for k in dropped),
+        dropped_columns=dropped,
     )
 
 
 def _arm_and_adjust_block(data: TrialDataset):
     """The (columns, origin) of [arm-A intercept | arm-B intercept | adjusters]."""
     t = data.treatment.astype(float)
-    columns = [t, 1.0 - t] + [data.x_adjust[:, j] for j in range(data.p_c)]
+    columns = [t, 1.0 - t, data.x_adjust]
     origin = [("arm_intercept", arm) for arm in "AB"] + [("adjust", j) for j in range(data.p_c)]
     return columns, origin
 
@@ -164,7 +162,7 @@ def build_additive_design(data: TrialDataset) -> DesignMatrix:
     if data.n < data.p + data.p_c + 2:
         raise DataError(f"n={data.n} too small for p={data.p}, p_c={data.p_c}")
     columns, origin = _arm_and_adjust_block(data)
-    columns = [data.x_candidates[:, j] for j in range(data.p)] + columns
+    columns = [data.x_candidates] + columns
     origin = [("candidate", j) for j in range(data.p)] + origin
     return make_design(columns, origin)
 
@@ -184,7 +182,7 @@ def build_interaction_design(data: TrialDataset) -> DesignMatrix:
 
     block, block_origin = _arm_and_adjust_block(data)
     t, not_t = block[:2]
-    columns = [xk[:, j] * t for j in range(k)] + [xk[:, j] * not_t for j in range(k)]
+    columns = [xk * t[:, None], xk * not_t[:, None]]
     origin = [("arm_candidate", arm, j) for arm in "AB" for j in range(k)]
     return make_design(columns + block, origin + block_origin)
 
@@ -227,7 +225,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
         Xw = X * w[:, None]
         gram = X.T @ Xw
         rhs = Xw.T @ z
-        L, kept = _cholesky(gram[np.ix_(keep, keep)])
+        L, kept = _cholesky(gram if len(keep) == q else gram[np.ix_(keep, keep)])
         keep = [keep[i] for i in kept]
         beta_new = np.zeros(q)
         beta_new[keep] = np.linalg.solve(L.T, np.linalg.solve(L, rhs[keep]))
@@ -280,9 +278,9 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
     dispersion = family.dispersion(y, mu)
     covariance = np.zeros((q, q))
     if keep:
-        sub = gram[np.ix_(keep, keep)]
+        ix = np.s_[:, :] if len(keep) == q else np.ix_(keep, keep)  # a view when nothing dropped
         try:
-            covariance[np.ix_(keep, keep)] = dispersion * np.linalg.inv(sub)
+            covariance[ix] = dispersion * np.linalg.inv(gram[ix])
         except np.linalg.LinAlgError:
             raise FitError(
                 "information matrix is singular at the optimum",
@@ -347,17 +345,18 @@ def standardized_arm_difference(interaction_fit: GlmFit, k: int) -> np.ndarray:
     dropped by rank repair come back as NaN; an exactly zero SE on retained
     columns is an error.
     """
-    arm_a = dict(zip(*interaction_fit.role("arm_candidate", "A")))
-    arm_b = dict(zip(*interaction_fit.role("arm_candidate", "B")))
+    keys, ia = interaction_fit.role("arm_candidate", "A")
+    keys_b, ib = interaction_fit.role("arm_candidate", "B")
+    if keys != keys_b:  # rank repair dropped an arm column: keep the coordinates with both
+        both = set(keys).intersection(keys_b)
+        ia, ib = ia[[j in both for j in keys]], ib[[j in both for j in keys_b]]
+        keys = sorted(both)
+    coef, cov = interaction_fit.coefficients, interaction_fit.covariance
+    se2 = cov[ia, ia] + cov[ib, ib] - 2.0 * cov[ia, ib]
+    degenerate = se2 <= 0.0
+    if degenerate.any():
+        j = keys[np.argmax(degenerate)]
+        raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")
     out = np.full(k, np.nan)
-    coef = interaction_fit.coefficients
-    cov = interaction_fit.covariance
-    for j in range(k):
-        if j not in arm_a or j not in arm_b:
-            continue
-        ia, ib = arm_a[j], arm_b[j]
-        se2 = cov[ia, ia] + cov[ib, ib] - 2.0 * cov[ia, ib]
-        if se2 <= 0.0:
-            raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")
-        out[j] = (coef[ia] - coef[ib]) / np.sqrt(se2)
+    out[list(keys)] = (coef[ia] - coef[ib]) / np.sqrt(se2)
     return out

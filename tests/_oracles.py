@@ -7,6 +7,8 @@ the library code paths it checks.
 
 import numpy as np
 
+from tehscreen.errors import DegenerateVarianceError
+
 
 def newton_logistic(X, y, max_iter=200, tol=1e-12):
     """Plain Newton-Raphson logistic MLE: (beta, covariance, loglik)."""
@@ -169,3 +171,45 @@ def lasso_path_cd(xs, u, y, binomial, lambdas, alpha0):
         betas.append(beta.copy())
         alphas.append(alpha.copy())
     return betas, alphas, order, sweeps
+
+
+def design_columns(data, interaction):
+    """Pre-repair design, one column at a time: (matrix, origin).
+
+    Additive: [candidates | arm-A intercept | arm-B intercept | adjusters];
+    interaction: [candidate j times t | candidate j times (1 - t) | arm
+    intercepts | adjusters], each product taken column by column.
+    """
+    t = data.treatment.astype(float)
+    not_t = 1.0 - t
+    x = data.x_candidates
+    if interaction:
+        columns = [x[:, j] * t for j in range(data.p)] + [x[:, j] * not_t for j in range(data.p)]
+        origin = [("arm_candidate", arm, j) for arm in "AB" for j in range(data.p)]
+    else:
+        columns = [x[:, j] for j in range(data.p)]
+        origin = [("candidate", j) for j in range(data.p)]
+    columns += [t, not_t] + [data.x_adjust[:, j] for j in range(data.p_c)]
+    origin += [("arm_intercept", "A"), ("arm_intercept", "B")] + [("adjust", j) for j in range(data.p_c)]
+    return np.column_stack(columns), origin
+
+
+def arm_difference_loop(fit, k):
+    """(betaA - betaB) / SE one coordinate at a time; NaN where an arm column is gone.
+
+    Raises the library's DegenerateVarianceError at the first coordinate
+    with SE^2 <= 0.
+    """
+    arm_a = dict(zip(*fit.role("arm_candidate", "A")))
+    arm_b = dict(zip(*fit.role("arm_candidate", "B")))
+    out = np.full(k, np.nan)
+    coef, cov = fit.coefficients, fit.covariance
+    for j in range(k):
+        if j not in arm_a or j not in arm_b:
+            continue
+        ia, ib = arm_a[j], arm_b[j]
+        se2 = cov[ia, ia] + cov[ib, ib] - 2.0 * cov[ia, ib]
+        if se2 <= 0.0:
+            raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")
+        out[j] = (coef[ia] - coef[ib]) / np.sqrt(se2)
+    return out

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tehscreen as ts
-from tehscreen.errors import CsvParseError, DataError, DegenerateDesignError
+from tehscreen.errors import CsvParseError, DataError, DegenerateDesignError, TehScreenError
 
 
 def write_lines(path, lines):
@@ -195,3 +197,62 @@ def test_dataset_arrays_are_immutable():
     d = ts.generate_trial(ts.SyntheticSpec(n=20, p=2, seed=5))
     with pytest.raises(ValueError):
         d.y[0] = 99.0
+
+
+def _adjusted_trial():
+    return ts.generate_trial(ts.SyntheticSpec(n=20, p=3, adjust_effects=(0.2,), seed=5))
+
+
+# Each entry replaces one block of a valid trial with a bad one.
+_BAD_BLOCKS = {
+    "non-finite y": lambda d: {"y": np.where(np.arange(d.n) == 3, np.nan, d.y)},
+    "short y": lambda d: {"y": d.y[1:]},
+    "non-finite candidates": lambda d: {
+        "x_candidates": np.where(np.arange(d.n)[:, None] == 0, np.inf, d.x_candidates),
+        "candidate_names": d.candidate_names,
+    },
+    "short candidates": lambda d: {"x_candidates": d.x_candidates[1:], "candidate_names": ()},
+    "wrong-length names": lambda d: {"x_candidates": d.x_candidates, "candidate_names": ("a", "b")},
+    "treatment outside {0,1}": lambda d: {"treatment": 2 * d.treatment},
+    "constant treatment": lambda d: {"treatment": np.ones(d.n, dtype=int)},
+    "short treatment": lambda d: {"treatment": d.treatment[1:]},
+}
+
+
+def _derive(d, blocks):
+    if "y" in blocks:
+        return d.with_outcome(blocks["y"])
+    if "treatment" in blocks:
+        return d.with_treatment(blocks["treatment"])
+    return d.with_candidates(blocks["x_candidates"], blocks["candidate_names"])
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BLOCKS))
+def test_derived_dataset_rejects_a_bad_block_like_the_constructor(case):
+    d = _adjusted_trial()
+    blocks = _BAD_BLOCKS[case](d)
+    fields = {f.name: getattr(d, f.name) for f in dataclasses.fields(d)}
+    with pytest.raises(TehScreenError) as built:
+        ts.TrialDataset(**{**fields, **blocks})
+    with pytest.raises(TehScreenError) as derived:
+        _derive(d, blocks)
+    assert type(derived.value) is type(built.value)
+    assert str(derived.value) == str(built.value)
+
+
+def test_derived_dataset_freezes_its_new_block_and_shares_the_rest():
+    d = _adjusted_trial()
+    derived = {
+        "y": d.with_outcome(d.y + 1.0),
+        "treatment": d.with_treatment(1 - d.treatment),
+        "x_candidates": d.with_candidates(d.x_candidates[:, :2], ("a", "b")),
+    }
+    for replaced, e in derived.items():
+        for name in ("y", "treatment", "x_candidates", "x_adjust"):
+            block = getattr(e, name)
+            assert not block.flags.writeable and block.flags.c_contiguous
+            assert (block is getattr(d, name)) == (name != replaced)
+        assert e.adjust_names is d.adjust_names
+    assert derived["x_candidates"].candidate_names == ("a", "b")
+    assert derived["y"].candidate_names is d.candidate_names
+    assert derived["treatment"].treatment.dtype == d.treatment.dtype

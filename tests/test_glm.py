@@ -10,12 +10,13 @@ import tehscreen as ts
 from tehscreen import families, glm
 from tehscreen.errors import (
     DataError,
+    DegenerateVarianceError,
     FitError,
     NestingError,
     SeparationError,
 )
 
-from _oracles import newton_logistic, ols_rss
+from _oracles import arm_difference_loop, design_columns, newton_logistic, ols_rss
 
 
 def manual_design(columns, kinds=None):
@@ -67,8 +68,8 @@ def test_additive_design_drops_duplicate_candidate():
     )
     design = ts.build_additive_design(d)
     assert design.width == 3
+    # Pre-repair layout: [x | copy of x | arm A | arm B]; the later copy drops.
     assert design.dropped_columns == (1,)
-    assert design.dropped_origin == (("candidate", 1),)
 
 
 _COPY = st.tuples(
@@ -118,6 +119,22 @@ def test_interaction_design_masks_by_arm():
     assert np.array_equal(design.matrix[:, 0], [a, b, 0, 0])
     assert np.array_equal(design.matrix[:, 1], [0, 0, c, e])
     assert design.origin[:2] == (("arm_candidate", "A", 0), ("arm_candidate", "B", 0))
+
+
+@pytest.mark.parametrize("interaction", [False, True])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_design_builders_match_the_column_by_column_oracle(interaction, duplicate):
+    d = toy_dataset(n=80, p=4, p_c=2, seed=3)
+    if duplicate:  # candidate 4 copies candidate 1, so its columns drop
+        d = d.with_candidates(np.column_stack([d.x_candidates, d.x_candidates[:, 1]]), ())
+    design = (ts.build_interaction_design if interaction else ts.build_additive_design)(d)
+    matrix, origin = design_columns(d, interaction)
+    dropped = ((4, 9) if interaction else (4,)) if duplicate else ()
+    assert design.dropped_columns == dropped
+    kept = [k for k in range(matrix.shape[1]) if k not in dropped]
+    assert np.array_equal(design.matrix, matrix[:, kept])
+    assert design.matrix.flags.c_contiguous
+    assert design.origin == tuple(origin[k] for k in kept)
 
 
 def test_interaction_design_identity_projection_equals_select_all():
@@ -460,3 +477,32 @@ def test_arm_difference_h0_moments():
         values[r] = ts.standardized_arm_difference(fit, 2)
     assert np.all(np.abs(values.mean(axis=0)) < 0.07)
     assert np.all(np.abs(values.var(axis=0, ddof=1) - 1.0) < 0.1)
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_arm_difference_equals_the_scalar_loop(family, duplicate):
+    d = toy_dataset(n=200, p=3, family=family, seed=9)
+    if duplicate:  # both arm columns of candidate 3 drop, so coordinate 3 is NaN
+        d = d.with_candidates(np.column_stack([d.x_candidates, d.x_candidates[:, 0]]), ())
+    fit = ts.fit(ts.build_interaction_design(d), d.y, family)
+    diffs = ts.standardized_arm_difference(fit, d.p)
+    assert np.array_equal(diffs, arm_difference_loop(fit, d.p), equal_nan=True)
+    assert np.isnan(diffs).tolist() == [False] * 3 + [True] * duplicate
+
+
+def test_arm_difference_zero_variance_names_the_first_coordinate():
+    k = 3
+    origin = tuple(("arm_candidate", arm, j) for arm in "AB" for j in range(k))
+    covariance = np.eye(2 * k)
+    for j in (1, 2):  # Var(A) = Var(B) = Cov(A, B): zero variance of the difference
+        covariance[j, k + j] = covariance[k + j, j] = 1.0
+    fit = glm.GlmFit(
+        coefficients=np.arange(2.0 * k), covariance=covariance, std_errors=np.ones(2 * k),
+        log_likelihood=0.0, deviance=0.0, iterations=1, origin=origin,
+    )
+    with pytest.raises(DegenerateVarianceError) as oracle:
+        arm_difference_loop(fit, k)
+    with pytest.raises(DegenerateVarianceError, match="coordinate 1$") as err:
+        ts.standardized_arm_difference(fit, k)
+    assert str(err.value) == str(oracle.value)

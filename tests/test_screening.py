@@ -52,7 +52,8 @@ def test_full_model_pvalues_equal_scalar_norm_sf_oracle(family):
         if j in column else 1.0
         for j in range(d.p)
     ]
-    assert design.dropped_origin == (("candidate", 5),)
+    # Pre-repair layout: candidates 0-5, then the arm intercepts; the duplicate (5) drops.
+    assert design.dropped_columns == (5,)
     # erfc(|z|/sqrt 2) and scipy's ndtr differ in the last bits only.
     assert ts.rank_full_model(d, family).substage_trace["p_values"] == pytest.approx(
         oracle, rel=1e-12, abs=0.0

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data_model import TrialDataset
 from .errors import DataError
-from .families import BINOMIAL, GAUSSIAN, Family
+from .families import Family
 
 
 @dataclass(frozen=True)
@@ -105,24 +105,14 @@ def fit_boost(
     weight = n / (k * (n - k))
     d = np.empty((nv, n))
 
-    if family is GAUSSIAN:
-        f0 = float(np.mean(y))
-    elif family is BINOMIAL:
-        pbar = float(np.clip(np.mean(y), 1e-10, 1.0 - 1e-10))
-        f0 = float(np.log(pbar / (1.0 - pbar)))
-    else:
-        raise DataError(f"unsupported family {family!r}")
-
+    f0 = float(family.link(np.mean(y)))
     f = np.full(n, f0)
     stumps = []
     improvements = np.zeros(nv)
     # A constant outcome has nothing to split, but its working response is
     # constant only up to rounding, which would score as tiny improvements.
     for _ in range(n_trees if np.ptp(y) > 0 else 0):
-        if family is GAUSSIAN:
-            r = y - f
-        else:
-            r = y - BINOMIAL.inverse_link(f)
+        r = y - family.inverse_link(f)
         stump = _best_stump(order, penalty, midpoints, weight, r, d)
         if stump is None:
             break

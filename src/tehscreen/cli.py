@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, inference
-from .config import PipelineConfig, load_json, load_study, synthetic_spec_from_dict
+from .config import PipelineConfig, _optional, load_json, load_study, synthetic_spec_from_dict
 from .data_model import generate_trial, load_csv, write_csv
 from .errors import ConfigError, DataError, TehScreenError
 
@@ -81,6 +81,14 @@ def _int_field(name, value, minimum):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"config field {name!r} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _csv_target(block, key, where=""):
+    """An optional CSV output path: absent, or a nonempty string."""
+    target = _optional(block, key, str, None, where)
+    if target == "":
+        raise ConfigError(f"config field {where}{key!r} must be a nonempty file path")
+    return target
 
 
 def _seed(args, default):
@@ -174,6 +182,7 @@ def cmd_simulate_null(args):
     if cfg.null_reps == 0:
         raise ConfigError("null_sim.reps must be >= 100 for simulate-null")
     seed = _seed(args, cfg.seed)
+    csv_target = _csv_target(cfg_dict.get("null_sim", {}), "pvalues_csv", "null_sim.")
     data = _load_data(cfg_dict, args.data)
     null = inference.simulate_null(data, cfg, reps=cfg.null_reps, seed=seed)
     report = _report_envelope(cfg_dict, seed)
@@ -190,8 +199,7 @@ def cmd_simulate_null(args):
         }
     )
     _write_report(args.out, report)
-    csv_target = cfg_dict.get("null_sim", {}).get("pvalues_csv")
-    if csv_target:
+    if csv_target is not None:
         with open(csv_target, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["p_raw"])
@@ -212,13 +220,14 @@ def cmd_validate_theorem(args):
     screen_k = cfg_dict.get("screen_k")
     if screen_k is not None:
         _int_field("screen_k", screen_k, 1)
+    include_records = _optional(cfg_dict, "include_records", bool, False, "")
 
     report_obj = inference.validate_theorem(
         spec, reps=reps, seed=seed, projected=proj_kind == "pca", screen_k=screen_k
     )
     report = _report_envelope(cfg_dict, seed)
     report.update({"summary": report_obj.summary})
-    if cfg_dict.get("include_records", False):
+    if include_records:
         report["records"] = list(report_obj.records)
     _write_report(args.out, report)
     return EXIT_OK
@@ -232,15 +241,16 @@ def cmd_power_study(args):
     if not isinstance(alpha, float) or not 0.0 < alpha < 1.0:
         raise ConfigError(f"config field 'alpha' must be a number in (0, 1), got {alpha!r}")
     seed = _seed(args, cfg_dict.get("seed", 0))
+    include_records = _optional(cfg_dict, "include_records", bool, False, "")
+    csv_target = _csv_target(cfg_dict, "records_csv")
 
     study = inference.power_study(spec, methods, reps=reps, seed=seed, alpha=alpha)
     report = _report_envelope(cfg_dict, seed)
     report.update({"summary": study.summary})
-    if cfg_dict.get("include_records", False):
+    if include_records:
         report["records"] = list(study.records)
     _write_report(args.out, report)
-    csv_target = cfg_dict.get("records_csv")
-    if csv_target:
+    if csv_target is not None:
         with open(csv_target, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["replicate", *(c.label for c in methods)])
             writer.writeheader()

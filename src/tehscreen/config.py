@@ -7,7 +7,7 @@ read; there is no way to express a data-adaptive K.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .data_model import SyntheticSpec
 from .errors import ConfigError
@@ -80,7 +80,6 @@ class PipelineConfig:
     null_method: str = "parametric"
     seed: int = 0
     label: str = ""
-    raw: dict = field(default_factory=dict, compare=False)
 
     @property
     def family(self) -> Family:
@@ -111,9 +110,9 @@ class PipelineConfig:
                     f"k_rule.{key} must be a number fixed ahead of the data, got {value!r}"
                 )
 
-        boost = screening.get("boosting", {})
-        las = screening.get("lasso", {})
-        pca_block = screening.get("pca", {})
+        boost = _optional(screening, "boosting", dict, {}, "screening.")
+        las = _optional(screening, "lasso", dict, {}, "screening.")
+        pca_block = _optional(screening, "pca", dict, {}, "screening.")
         null_block = d.get("null_sim", {})
         if not isinstance(null_block, dict):
             raise ConfigError("null_sim must be an object")
@@ -138,7 +137,6 @@ class PipelineConfig:
             null_method=_optional(null_block, "method", str, "parametric", "null_sim."),
             seed=_optional(d, "seed", int, 0, ""),
             label=_optional(d, "label", str, method, ""),
-            raw=d,
         )
         if cfg.ml not in ("boosting", "lasso"):
             raise ConfigError(f"screening.ml must be boosting or lasso, got {cfg.ml!r}")

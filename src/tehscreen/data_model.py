@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvParseError, DataError, DegenerateDesignError
-from .families import BINOMIAL, GAUSSIAN, Family
+from .families import GAUSSIAN, Family
 
 
 def _freeze(a):
@@ -182,7 +182,7 @@ def generate_trial(spec: SyntheticSpec) -> TrialDataset:
     variances); adjusters are independent standard normal; arms come from a
     balanced permutation. The linear predictor is
     ``intercept + x.beta + t*theta + t*(x.delta) + x_c.beta_c`` and the
-    outcome is Normal(eta, noise_sd) or Bernoulli(logit^-1(eta)).
+    family draws the outcome: Normal(eta, noise_sd) or Bernoulli(logit^-1(eta)).
     Identical specs (including seed) produce identical datasets.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
@@ -201,13 +201,7 @@ def generate_trial(spec: SyntheticSpec) -> TrialDataset:
     if spec.p_c:
         eta = eta + x_adj @ np.asarray(spec.adjust_effects)
 
-    if spec.family is GAUSSIAN:
-        y = eta + spec.noise_sd * rng.standard_normal(spec.n)
-    elif spec.family is BINOMIAL:
-        y = rng.binomial(1, BINOMIAL.inverse_link(eta)).astype(float)
-    else:
-        raise DataError(f"unsupported family {spec.family!r}")
-
+    y = spec.family.sample(eta, spec.noise_sd, rng)
     return TrialDataset(y=y, treatment=t, x_candidates=x, x_adjust=x_adj)
 
 

@@ -1,18 +1,22 @@
-"""Exponential-family definitions shared by the GLM fitter and the data generator.
+"""Exponential families: the one home of family-specific arithmetic.
 
 Two members are supported: gaussian with identity link and binomial with
-logit link, whose inverse is the closed form 1/(1 + exp(-eta)). The gaussian
-log-likelihood profiles out the variance (sigma2 = RSS/n), so likelihood-ratio
-statistics reduce to n*log(RSS0/RSS1).
+logit link, whose inverse is the closed form 1/(1 + exp(-eta)). Each owns
+its link, IRLS working weights and response (McCullagh & Nelder 1989, GLMs,
+2nd ed., section 2.5) and outcome draw, so no other module re-derives them.
+The gaussian log-likelihood profiles out the variance (sigma2 = RSS/n), so
+likelihood-ratio statistics reduce to n*log(RSS0/RSS1).
 """
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 
-# Guards: probability clipping applies inside likelihood evaluation only;
-# the variance floor keeps interpolating gaussian fits finite.
+# Guards: PROB_CLIP applies inside likelihood evaluation only, MU_EPS to the
+# mean in the logit and the IRLS working weights (the lasso's too); the
+# variance floor keeps interpolating gaussian fits finite.
 PROB_CLIP = 1e-12
+MU_EPS = 1e-10
 VARIANCE_FLOOR = 1e-12
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -20,10 +24,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 class Family:
     """One exponential-family member with its canonical link.
 
-    Members define check_response, inverse_link, initial_mu, irls_weights
-    (the working weights for one IRLS step, dispersion excluded),
-    log_likelihood, deviance and dispersion (the scale factor multiplying
-    (X'WX)^-1 to give the coefficient covariance).
+    Members define check_response, link, inverse_link, initial_mu,
+    working(y, eta, mu) -> (w, z) (the weights and working response of one
+    IRLS step, dispersion excluded), sample(eta, scale, rng) (outcomes drawn
+    around the linear predictor; only gaussian reads the noise SD
+    ``scale``), log_likelihood, deviance and dispersion (the scale factor
+    multiplying (X'WX)^-1 to give the coefficient covariance).
     """
 
     name: str
@@ -39,14 +45,20 @@ class Gaussian(Family):
         if not np.all(np.isfinite(y)):
             raise DataError("gaussian response contains non-finite values")
 
+    def link(self, mu):
+        return mu
+
     def inverse_link(self, eta):
         return eta
 
     def initial_mu(self, y):
         return np.full_like(y, float(np.mean(y)), dtype=float)
 
-    def irls_weights(self, mu):
-        return np.ones_like(mu)
+    def working(self, y, eta, mu):
+        return np.ones_like(mu), y
+
+    def sample(self, eta, scale, rng):
+        return eta + scale * rng.standard_normal(eta.shape[0])
 
     def log_likelihood(self, y, mu):
         rss = float(np.sum((y - mu) ** 2))
@@ -72,12 +84,21 @@ class Binomial(Family):
         # emits no overflow warning; the floor moves mu by less than 1e-304.
         return 1.0 / (1.0 + np.exp(-np.maximum(eta, -700.0)))
 
+    def link(self, mu):
+        p = np.clip(mu, MU_EPS, 1.0 - MU_EPS)
+        return np.log(p / (1.0 - p))
+
     def initial_mu(self, y):
         # Shrink toward 0.5 so the first working response is finite.
         return (y + 0.5) / 2.0
 
-    def irls_weights(self, mu):
-        return mu * (1.0 - mu)
+    def working(self, y, eta, mu):
+        p = np.clip(mu, MU_EPS, 1.0 - MU_EPS)
+        w = p * (1.0 - p)
+        return w, eta + (y - p) / w
+
+    def sample(self, eta, scale, rng):
+        return rng.binomial(1, self.inverse_link(eta)).astype(float)
 
     def log_likelihood(self, y, mu):
         p = np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP)

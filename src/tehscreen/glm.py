@@ -1,9 +1,10 @@
 """GLM fitting by iteratively re-weighted least squares.
 
 Builds the two trial designs (additive main-effects model and the
-arm-specific interaction model), fits them by IRLS with step halving,
-and exposes the nested-model likelihood-ratio test plus the standardized
-between-arm coefficient differences used to decompose an interaction signal.
+arm-specific interaction model), fits them by IRLS with step halving on
+the family's link, working weights and working response, and exposes the
+nested-model likelihood-ratio test plus the standardized between-arm
+coefficient differences used to decompose an interaction signal.
 
 Both designs use the two-arm-intercept parameterization: columns are
 [candidate block | arm-A indicator | arm-B indicator | adjusters], which is
@@ -36,9 +37,6 @@ RANK_TOL = 1e-10
 MAX_ITER = 100
 LOGLIK_RTOL = 1e-10
 SEPARATION_NORM = 1e4
-# Internal clip for IRLS weights / working response; likelihood evaluation
-# uses the (tighter) clip in families.py.
-_MU_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,15 +104,15 @@ class GlmFit:
         return z
 
 
-def _cholesky(gram, tol=RANK_TOL):
+def _cholesky(gram):
     """Rank-revealing Cholesky: (L, kept) with L @ L.T == gram[kept][:, kept].
 
     The fast path is one LAPACK factorization; the sequential fallback runs
-    only when a pivot is at or below ``tol`` times the largest diagonal, and
+    only when a pivot is at or below RANK_TOL times the largest diagonal, and
     drops exactly those columns, so earlier columns win ties.
     """
     q = gram.shape[0]
-    threshold = tol * float(np.max(gram.diagonal(), initial=0.0))
+    threshold = RANK_TOL * float(np.max(gram.diagonal(), initial=0.0))
     if threshold <= 0.0:
         return np.empty((0, 0)), []
     try:
@@ -187,16 +185,17 @@ def build_interaction_design(data: TrialDataset) -> DesignMatrix:
     return make_design(columns + block, origin + block_origin)
 
 
-def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_RTOL) -> GlmFit:
+def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER) -> GlmFit:
     """Maximize the likelihood by IRLS with step halving.
 
-    The gaussian-identity case stops after its single least-squares step,
-    which is the exact maximum of the profiled likelihood; the binomial case
-    iterates to a relative log-likelihood change below ``tol``. Its first
-    step starts from ``family.initial_mu``, which no coefficient vector
-    attains, so it is taken whole and not tested for convergence. Perfect
-    separation is reported as an error rather than returned as a silently
-    diverged fit.
+    The link, the working weights and the working response come from
+    ``family``. The gaussian-identity case stops after its single
+    least-squares step, which is the exact maximum of the profiled
+    likelihood; the binomial case iterates to a relative log-likelihood
+    change below LOGLIK_RTOL. Its first step starts from
+    ``family.initial_mu``, which no coefficient vector attains, so it is
+    taken whole and not tested for convergence. Perfect separation is
+    reported as an error rather than returned as a silently diverged fit.
     """
     X = design.matrix
     y = np.asarray(y, dtype=float)
@@ -208,7 +207,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
     family.check_response(y)
 
     mu = family.initial_mu(y)
-    eta = _safe_link(family, mu)
+    eta = family.link(mu)
     beta = np.zeros(q)
     ll = None  # no coefficient vector attains initial_mu, so the first step is taken whole
     converged = False
@@ -216,12 +215,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
     keep = list(range(q))  # columns rank repair has not dropped yet
 
     for iterations in range(1, max_iter + 1):
-        mu_safe = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS) if family is not GAUSSIAN else mu
-        w = family.irls_weights(mu_safe)
-        if family is GAUSSIAN:
-            z = y
-        else:
-            z = eta + (y - mu_safe) / w
+        w, z = family.working(y, eta, mu)
         Xw = X * w[:, None]
         gram = X.T @ Xw
         rhs = Xw.T @ z
@@ -246,7 +240,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
                 break
             scale *= 0.5
         beta, eta, mu = cand, eta_cand, mu_cand
-        if ll is not None and abs(ll_cand - ll) <= tol * (abs(ll) + 1.0):
+        if ll is not None and abs(ll_cand - ll) <= LOGLIK_RTOL * (abs(ll) + 1.0):
             ll = ll_cand
             converged = True
             break
@@ -273,7 +267,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
                 last_coefficients=beta, iterations=iterations,
             )
 
-    w_final = family.irls_weights(np.clip(mu, _MU_EPS, 1.0 - _MU_EPS) if family is not GAUSSIAN else mu)
+    w_final, _ = family.working(y, eta, mu)
     gram = X.T @ (X * w_final[:, None])
     dispersion = family.dispersion(y, mu)
     covariance = np.zeros((q, q))
@@ -297,13 +291,6 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, tol=LOGLIK_R
         dropped_columns=tuple(sorted(set(range(q)).difference(keep))),
         origin=design.origin,
     )
-
-
-def _safe_link(family, mu):
-    if family is GAUSSIAN:
-        return mu
-    p = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-    return np.log(p / (1.0 - p))
 
 
 def lrt(null_fit: GlmFit, alt_fit: GlmFit, df: int):

@@ -13,7 +13,7 @@ Replicate r always uses a seed derived from the master seed by a counting
 scheme, so any single replicate can be reproduced in isolation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import glm, screening as scr
 from .config import PipelineConfig
 from .data_model import SyntheticSpec, TrialDataset, generate_trial
 from .errors import ConfigError, DataError, NullSimulationError, TehScreenError
-from .families import BINOMIAL, GAUSSIAN, Family
+from .families import Family
 from .pca import compute_pca
 
 
@@ -126,7 +126,9 @@ def _additive_predictor_parts(data: TrialDataset, family: Family):
     """Fitted linear-predictor pieces of the full additive model.
 
     Returns (eta_without_arm, intercept_A, intercept_B, sigma) so a replicate
-    with re-randomized labels t gets eta = eta_base + where(t, aA, aB).
+    with re-randomized labels t gets eta = eta_base + where(t, aA, aB);
+    sigma = sqrt(dispersion) is the noise scale ``family.sample`` draws with
+    (the profiled gaussian SD; 1 for binomial, whose draw ignores it).
     """
     design = glm.build_additive_design(data)
     fit = glm.fit(design, data.y, family)
@@ -142,8 +144,7 @@ def _additive_predictor_parts(data: TrialDataset, family: Family):
     eta_base = data.x_candidates @ beta_cand
     if data.p_c:
         eta_base = eta_base + data.x_adjust @ beta_adj
-    sigma = np.sqrt(GAUSSIAN.dispersion(data.y, design.matrix @ fit.coefficients)) \
-        if family is GAUSSIAN else 0.0
+    sigma = np.sqrt(family.dispersion(data.y, design.matrix @ fit.coefficients))
     return eta_base, a_A, a_B, sigma
 
 
@@ -173,10 +174,7 @@ def simulate_null(
             d_rep = data.with_treatment(t_new)
         else:
             eta = eta_base + np.where(t_new == 1, a_A, a_B)
-            if family is GAUSSIAN:
-                y_new = eta + sigma * rng.standard_normal(data.n)
-            else:
-                y_new = rng.binomial(1, BINOMIAL.inverse_link(eta)).astype(float)
+            y_new = family.sample(eta, sigma, rng)
             d_rep = data.with_outcome(y_new).with_treatment(t_new)
         try:
             return run_pipeline(d_rep, cfg)
@@ -252,12 +250,12 @@ def validate_theorem(
     k_screen = min(3, spec.p) if screen_k is None else screen_k
     projection = None
     if projected:
-        ref = generate_trial(_respec(spec, derive_seed(seed, 2**30)))
+        ref = generate_trial(replace(spec, seed=derive_seed(seed, 2**30)))
         res = compute_pca(ref.x_candidates, standardize=True)
         projection = res.loadings / res.scale[:, None]
 
     def one(r):
-        d = generate_trial(_respec(spec, derive_seed(seed, r)))
+        d = generate_trial(replace(spec, seed=derive_seed(seed, r)))
         if projection is not None:
             names = tuple(f"proj{i + 1}" for i in range(projection.shape[1]))
             d = d.with_candidates(d.x_candidates @ projection, names)
@@ -312,7 +310,7 @@ def power_study(
         raise ConfigError(f"power-study methods need distinct nonempty labels, got {labels}")
 
     def one(r):
-        d = generate_trial(_respec(h1_spec, derive_seed(seed, r)))
+        d = generate_trial(replace(h1_spec, seed=derive_seed(seed, r)))
         row = {}
         for label, cfg in zip(labels, methods):
             try:
@@ -350,9 +348,3 @@ def power_study(
             "failures": failures,
         },
     )
-
-
-def _respec(spec: SyntheticSpec, new_seed: int) -> SyntheticSpec:
-    from dataclasses import replace
-
-    return replace(spec, seed=new_seed)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data_model import TrialDataset
 from .errors import DataError, FitError
-from .families import BINOMIAL, GAUSSIAN, Family
+from .families import BINOMIAL, GAUSSIAN, MU_EPS, Family
 from . import glm
 
 CD_TOL = 1e-11
@@ -223,7 +223,7 @@ def _binomial_outer(design, y, theta, lam, q):
     sweeps = 0
     prob = BINOMIAL.inverse_link(design @ theta)
     for _ in range(OUTER_MAX):
-        mu = np.clip(prob, 1e-10, 1.0 - 1e-10)
+        mu = np.clip(prob, MU_EPS, 1.0 - MU_EPS)
         gram = design.T @ (design * (mu * (1.0 - mu))[:, None]) / n
         grad = design.T @ (y - mu) / n
         sweeps += _cd(gram, grad, theta, lam, q)

@@ -12,7 +12,7 @@ lower covariate index.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,11 +37,9 @@ class ScreeningResult:
     ranking: tuple
     k_selected: int
     projection: np.ndarray | None = None
-    substage_trace: dict = None
+    substage_trace: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.substage_trace is None:
-            object.__setattr__(self, "substage_trace", {})
         if len(set(self.ranking)) != len(self.ranking):
             raise DataError("ranking contains duplicate indices")
         if self.projection is not None and self.projection.shape[1] != self.k_selected:

@@ -213,3 +213,38 @@ def arm_difference_loop(fit, k):
             raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")
         out[j] = (coef[ia] - coef[ib]) / np.sqrt(se2)
     return out
+
+
+# Family arithmetic written out inline, one branch per family: references for
+# the methods in families.py, which must match them bit for bit.
+
+def inline_link(binomial, mu):
+    """glm's start: identity, or the logit of mu clipped to [1e-10, 1 - 1e-10]."""
+    if not binomial:
+        return mu
+    p = np.clip(mu, 1e-10, 1.0 - 1e-10)
+    return np.log(p / (1.0 - p))
+
+
+def inline_working(binomial, y, eta, mu):
+    """glm's IRLS (weights, working response) at one step."""
+    if not binomial:
+        return np.ones_like(mu), y
+    mu_safe = np.clip(mu, 1e-10, 1.0 - 1e-10)
+    w = mu_safe * (1.0 - mu_safe)
+    return w, eta + (y - mu_safe) / w
+
+
+def inline_outcome_draw(binomial, eta, scale, rng):
+    """The outcome draw of generate_trial and the parametric null replicate."""
+    if binomial:
+        return rng.binomial(1, 1.0 / (1.0 + np.exp(-np.maximum(eta, -700.0)))).astype(float)
+    return eta + scale * rng.standard_normal(eta.shape[0])
+
+
+def inline_boost_initial_value(binomial, y):
+    """fit_boost's constant start: the mean, or the logit of the clipped mean."""
+    if not binomial:
+        return float(np.mean(y))
+    pbar = float(np.clip(np.mean(y), 1e-10, 1.0 - 1e-10))
+    return float(np.log(pbar / (1.0 - pbar)))

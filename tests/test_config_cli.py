@@ -33,7 +33,7 @@ def test_config_roundtrip_minimal():
     cfg = PipelineConfig.from_dict(minimal_cfg())
     assert cfg.method == "full_model"
     assert cfg.resolve_k(1000) == 2
-    assert cfg.raw["seed"] == 7
+    assert cfg.seed == 7
 
 
 def test_config_missing_field_named():
@@ -279,6 +279,9 @@ _POWER = {
 }
 _UNLABELED = [{"screening": {"method": "full_model"}, "k_rule": {"rule": "fixed", "k": k}}
               for k in (1, 3)]
+# every screening sub-block x a value that is not an object
+_BAD_BLOCKS = [(block, value) for block in ("boosting", "lasso", "pca")
+               for value in (5, "n_trees", [1])]
 
 
 @pytest.mark.parametrize("command, cfg, argv, field", [
@@ -297,17 +300,34 @@ _UNLABELED = [{"screening": {"method": "full_model"}, "k_rule": {"rule": "fixed"
     ("generate", {"spec": {**_SPEC, "family": "poisson"}}, [], "family"),
     ("sweep-k", minimal_cfg(k_values=["a", 2]), ["--data", "missing.csv"], "k_values"),
     ("sweep-k", minimal_cfg(k_values=[2.7, 1]), ["--data", "missing.csv"], "k_values"),
+    ("power-study", {**_POWER, "records_csv": True}, [], "records_csv"),
+    ("power-study", {**_POWER, "records_csv": 1}, [], "records_csv"),
+    ("power-study", {**_POWER, "records_csv": ""}, [], "records_csv"),
+    ("power-study", {**_POWER, "include_records": "no"}, [], "include_records"),
+    ("validate-theorem", {**_VALIDATE, "include_records": "no"}, [], "include_records"),
+    ("simulate-null", minimal_cfg(null_sim={"reps": 100, "pvalues_csv": True}),
+     ["--data", "missing.csv"], "null_sim.'pvalues_csv'"),
+    ("simulate-null", minimal_cfg(null_sim={"reps": 100, "pvalues_csv": ""}),
+     ["--data", "missing.csv"], "null_sim.'pvalues_csv'"),
+    *[("analyze", minimal_cfg(screening={"method": "multi_stage", block: value}),
+       ["--data", "missing.csv"], f"screening.'{block}'") for block, value in _BAD_BLOCKS],
 ], ids=["seed-str", "seed-negative", "seed-flag-negative", "alpha-str", "labels-duplicate",
         "screen_k-str", "screen_k-zero", "main_effects-str", "correlation-str", "null-reps-50",
-        "family-analyze", "family-generate", "k_values-str", "k_values-float"])
+        "family-analyze", "family-generate", "k_values-str", "k_values-float",
+        "records_csv-true", "records_csv-int", "records_csv-empty", "include_records-str-power",
+        "include_records-str-validate", "pvalues_csv-true", "pvalues_csv-empty",
+        *[f"screening.{block}-{type(value).__name__}" for block, value in _BAD_BLOCKS]])
 def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), *argv])
     assert rc == 2
-    err = json.loads(capsys.readouterr().err)
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing, not even a CSV, went to stdout
+    err = json.loads(captured.err)
     assert err["error"] == "ConfigError"
     assert field in err["message"]
+    assert not (tmp_path / "o").exists()  # rejected before any replicate ran
 
 
 def test_cli_power_study_and_missing_methods(tmp_path, capsys):

@@ -251,8 +251,9 @@ def test_covariance_is_inverse_fisher_information():
         design = ts.build_additive_design(d)
         fit = ts.fit(design, d.y, family)
         X = design.matrix
-        mu = family.inverse_link(X @ fit.coefficients)
-        w = family.irls_weights(mu) / family.dispersion(d.y, mu)
+        eta = X @ fit.coefficients
+        mu = family.inverse_link(eta)
+        w = family.working(d.y, eta, mu)[0] / family.dispersion(d.y, mu)
         fisher = X.T @ (X * w[:, None])
         assert np.allclose(fit.covariance @ fisher, np.eye(design.width), atol=1e-6)
         assert np.all(np.diag(fit.covariance) >= 0)

@@ -47,55 +47,3 @@ from .screening import (
     screen_pca_single_stage,
     stage2_dataset,
 )
-
-__all__ = [
-    "__version__",
-    "BINOMIAL",
-    "GAUSSIAN",
-    "BoostModel",
-    "DesignMatrix",
-    "Family",
-    "GlmFit",
-    "InteractionTest",
-    "LassoPath",
-    "NullDistribution",
-    "PcaResult",
-    "PipelineConfig",
-    "ScreeningResult",
-    "SimulationReport",
-    "Stump",
-    "SyntheticSpec",
-    "TrialDataset",
-    "build_additive_design",
-    "build_interaction_design",
-    "compute_pca",
-    "correct_pvalue",
-    "derive_seed",
-    "family_from_name",
-    "fit",
-    "fit_boost",
-    "fit_path",
-    "generate_trial",
-    "irm_risk_projection",
-    "k_schedule",
-    "load_csv",
-    "lrt",
-    "power_study",
-    "rank_by_entry",
-    "rank_full_model",
-    "rank_lasso",
-    "rank_pcs_by_variance",
-    "rank_univariate",
-    "run_pipeline",
-    "screen_multi_stage",
-    "screen_pca_single_stage",
-    "select_by_influence",
-    "simulate_null",
-    "soft_threshold",
-    "stage2_dataset",
-    "standardized_arm_difference",
-    "synthetic_spec_from_dict",
-    "test_interaction",
-    "validate_theorem",
-    "write_csv",
-]

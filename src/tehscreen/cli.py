@@ -66,15 +66,23 @@ def _report_envelope(cfg_dict, seed):
 
 
 def _load_data(cfg_dict, data_path):
-    block = cfg_dict.get("data", {})
-    if not isinstance(block, dict):
-        raise ConfigError("data block must be an object")
-    return load_csv(
-        data_path,
-        outcome_col=block.get("outcome_col", "y"),
-        treatment_col=block.get("treatment_col", "treatment"),
-        adjust_cols=block.get("adjust_cols", []),
-    )
+    """Read the CSV named on the command line with the config's ``data`` roles.
+
+    Each column may fill at most one role: outcome, treatment or adjuster.
+    """
+    block = _optional(cfg_dict, "data", dict, {}, "")
+    outcome = _optional(block, "outcome_col", str, "y", "data.")
+    treatment = _optional(block, "treatment_col", str, "treatment", "data.")
+    adjust = _optional(block, "adjust_cols", list, [], "data.")
+    if not all(isinstance(col, str) for col in adjust):
+        raise ConfigError(
+            f"config field data.'adjust_cols' must be a list of strings, got {adjust!r}"
+        )
+    roles = [outcome, treatment, *adjust]
+    for i, col in enumerate(roles):
+        if col in roles[:i]:
+            raise ConfigError(f"column {col!r} is named twice in the data block")
+    return load_csv(data_path, outcome_col=outcome, treatment_col=treatment, adjust_cols=adjust)
 
 
 def _int_field(name, value, minimum):

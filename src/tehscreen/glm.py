@@ -1,21 +1,27 @@
 """GLM fitting by iteratively re-weighted least squares.
 
-Builds the two trial designs (additive main-effects model and the
-arm-specific interaction model), fits them by IRLS with step halving on
-the family's link, working weights and working response, and exposes the
-nested-model likelihood-ratio test plus the standardized between-arm
-coefficient differences used to decompose an interaction signal.
+Builds the two trial designs (the additive main-effects model and the
+interaction model), fits them by IRLS with step halving on the family's
+link, working weights and working response, and exposes the nested-model
+likelihood-ratio test plus the standardized between-arm coefficient
+differences used to decompose an interaction signal.
 
-Both designs use the two-arm-intercept parameterization: columns are
-[candidate block | arm-A indicator | arm-B indicator | adjusters], which is
-equivalent to a single intercept plus a treatment main effect.
+The additive design is [candidates | arm-A indicator | arm-B indicator |
+adjusters], the two-arm-intercept form of a single intercept plus a
+treatment main effect. The interaction design is the additive design plus
+one contrast block, candidate j times the arm-A indicator. Its column space
+is that of the arm-specific slopes, since X∘t·a + X∘(1−t)·b =
+X·b + (X∘t)(a − b), so contrast j's coefficient is candidate j's arm-A
+slope minus its arm-B slope, and the additive model is nested in it by
+construction.
 
 Rank repair: design builds and IRLS solves share one rank-revealing
 Cholesky of the Gram matrix. A single LAPACK factorization is accepted when
 every pivot exceeds RANK_TOL times the largest diagonal; otherwise a
 sequential pass drops each column whose pivot is at or below that threshold.
 Later columns lose to earlier ones, so duplicates are removed
-deterministically; drops are recorded, never silent.
+deterministically and a contrast column loses to the additive columns it
+is aliased with; drops are recorded, never silent.
 """
 
 import math
@@ -44,21 +50,14 @@ class DesignMatrix:
     """Full-column-rank design with per-column provenance.
 
     ``origin[k]`` identifies what retained column ``k`` is: ("candidate", j),
-    ("arm_candidate", "A"|"B", j), ("arm_intercept", "A"|"B"), ("intercept",)
-    or ("adjust", j); ``dropped_columns`` indexes into the pre-repair layout.
+    ("arm_intercept", "A"|"B"), ("intercept",), ("adjust", j) or
+    ("contrast", j), candidate j times the arm-A indicator;
+    ``dropped_columns`` indexes into the pre-repair layout.
     """
 
     matrix: np.ndarray
     origin: tuple
     dropped_columns: tuple = ()
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    @property
-    def width(self):
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -80,23 +79,21 @@ class GlmFit:
     dropped_columns: tuple = ()
     origin: tuple = ()
 
-    def role(self, *prefix):
-        """Columns kept through the fit whose origin key starts with ``prefix``.
+    def role(self, name):
+        """Columns kept through the fit whose origin is ``(name, key)``.
 
-        Returns (keys, columns): ``keys[i]`` is the origin element after the
-        prefix for column ``columns[i]`` -- the candidate or adjuster index,
-        the arm letter of an arm intercept, or the candidate index under
-        ("arm_candidate", arm).
+        Returns (keys, columns): ``keys[i]`` is the origin's key for column
+        ``columns[i]`` -- the candidate, contrast or adjuster index, or the
+        arm letter of an arm intercept.
         """
-        n = len(prefix)
         dropped = set(self.dropped_columns)
-        pairs = [(o[n], k) for k, o in enumerate(self.origin)
-                 if o[:n] == prefix and k not in dropped]
+        pairs = [(o[1], k) for k, o in enumerate(self.origin)
+                 if o[0] == name and k not in dropped]
         return tuple(key for key, _ in pairs), np.array([k for _, k in pairs], dtype=np.intp)
 
-    def wald_z(self, p):
-        """Wald z = coefficient / SE by candidate index; NaN where the column is gone or SE is 0."""
-        keys, cols = self.role("candidate")
+    def wald_z(self, p, name="candidate"):
+        """Wald z = coefficient / SE by ``name`` index; NaN where the column is gone or SE is 0."""
+        keys, cols = self.role(name)
         se = self.std_errors[cols]
         ok = se > 0.0
         z = np.full(p, np.nan)
@@ -155,34 +152,35 @@ def _arm_and_adjust_block(data: TrialDataset):
     return columns, origin
 
 
+def _additive_columns(data: TrialDataset):
+    """The (columns, origin) of the additive design before rank repair."""
+    columns, origin = _arm_and_adjust_block(data)
+    return [data.x_candidates] + columns, [("candidate", j) for j in range(data.p)] + origin
+
+
 def build_additive_design(data: TrialDataset) -> DesignMatrix:
     """Main-effects design: [candidates | arm-A intercept | arm-B intercept | adjusters]."""
     if data.n < data.p + data.p_c + 2:
         raise DataError(f"n={data.n} too small for p={data.p}, p_c={data.p_c}")
-    columns, origin = _arm_and_adjust_block(data)
-    columns = [data.x_candidates] + columns
-    origin = [("candidate", j) for j in range(data.p)] + origin
-    return make_design(columns, origin)
+    return make_design(*_additive_columns(data))
 
 
 def build_interaction_design(data: TrialDataset) -> DesignMatrix:
-    """Arm-specific design: [arm-A candidate block | arm-B block | arm intercepts | adjusters].
+    """The additive design plus the treatment contrast block: [additive | X∘t].
 
     The candidate block is every candidate of ``data``; to test a screen, pass
     the dataset that ``screening.stage2_dataset`` builds from it.
     """
-    xk = data.x_candidates
     k = data.p
     if k == 0:
         raise DataError("empty selection: the interaction design needs K >= 1 candidates")
     if data.n < 2 * k + data.p_c + 2:
-        raise DataError(f"n={data.n} too small for K={k} arm-specific blocks")
-
-    block, block_origin = _arm_and_adjust_block(data)
-    t, not_t = block[:2]
-    columns = [xk * t[:, None], xk * not_t[:, None]]
-    origin = [("arm_candidate", arm, j) for arm in "AB" for j in range(k)]
-    return make_design(columns + block, origin + block_origin)
+        raise DataError(f"n={data.n} too small for K={k} candidates and their contrasts")
+    columns, origin = _additive_columns(data)
+    t = columns[1]
+    return make_design(
+        columns + [data.x_candidates * t[:, None]], origin + [("contrast", j) for j in range(k)]
+    )
 
 
 def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER) -> GlmFit:
@@ -326,24 +324,14 @@ def lrt(null_fit: GlmFit, alt_fit: GlmFit, df: int):
 
 
 def standardized_arm_difference(interaction_fit: GlmFit, k: int) -> np.ndarray:
-    """Per-coordinate (betaA - betaB) / SE from the joint interaction-fit covariance.
+    """Per-coordinate (betaA - betaB) / SE: the Wald z of each contrast column.
 
-    SE^2 = Var(A) + Var(B) - 2 Cov(A, B). Coordinates whose arm column was
-    dropped by rank repair come back as NaN; an exactly zero SE on retained
-    columns is an error.
+    Coordinates whose contrast column was dropped by rank repair come back as
+    NaN; an exactly zero SE on a retained contrast column is an error.
     """
-    keys, ia = interaction_fit.role("arm_candidate", "A")
-    keys_b, ib = interaction_fit.role("arm_candidate", "B")
-    if keys != keys_b:  # rank repair dropped an arm column: keep the coordinates with both
-        both = set(keys).intersection(keys_b)
-        ia, ib = ia[[j in both for j in keys]], ib[[j in both for j in keys_b]]
-        keys = sorted(both)
-    coef, cov = interaction_fit.coefficients, interaction_fit.covariance
-    se2 = cov[ia, ia] + cov[ib, ib] - 2.0 * cov[ia, ib]
-    degenerate = se2 <= 0.0
+    keys, cols = interaction_fit.role("contrast")
+    degenerate = interaction_fit.std_errors[cols] <= 0.0
     if degenerate.any():
         j = keys[np.argmax(degenerate)]
         raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")
-    out = np.full(k, np.nan)
-    out[list(keys)] = (coef[ia] - coef[ib]) / np.sqrt(se2)
-    return out
+    return interaction_fit.wald_z(k, "contrast")

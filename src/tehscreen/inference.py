@@ -1,7 +1,8 @@
 """Stage-2 interaction testing and all Monte Carlo validation machinery.
 
-``test_interaction`` runs the likelihood-ratio test of the arm-specific
-model against the additive model on the screened (or projected) covariates.
+``test_interaction`` runs the likelihood-ratio test of the interaction
+model (the additive model plus a treatment contrast per candidate) against
+the additive model on the screened (or projected) covariates.
 ``simulate_null`` rebuilds the test's H0 distribution for the dataset at
 hand by a parametric bootstrap from the fitted additive model (treatment
 main effect retained, interactions zero, fresh re-randomized labels), or by
@@ -67,15 +68,15 @@ class SimulationReport:
 def test_interaction(
     data: TrialDataset, family: Family, screen: scr.ScreeningResult
 ) -> InteractionTest:
-    """Fit additive and arm-specific models on the screened covariates; LRT with df = K."""
+    """Fit the additive and interaction models on the screened covariates; LRT with df = K.
+
+    df is the number of contrast columns kept through the alternative fit,
+    so it falls below K where rank repair drops a contrast.
+    """
     d2 = scr.stage2_dataset(data, screen)
-    add_design = glm.build_additive_design(d2)
-    int_design = glm.build_interaction_design(d2)
-    null_fit = glm.fit(add_design, d2.y, family)
-    alt_fit = glm.fit(int_design, d2.y, family)
-    df = (int_design.width - len(alt_fit.dropped_columns)) - (
-        add_design.width - len(null_fit.dropped_columns)
-    )
+    null_fit = glm.fit(glm.build_additive_design(d2), d2.y, family)
+    alt_fit = glm.fit(glm.build_interaction_design(d2), d2.y, family)
+    df = len(alt_fit.role("contrast")[0])
     statistic, p_raw = glm.lrt(null_fit, alt_fit, df)
     diffs = glm.standardized_arm_difference(alt_fit, d2.p)
     return InteractionTest(

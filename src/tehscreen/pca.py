@@ -22,7 +22,6 @@ class PcaResult:
     center: np.ndarray
     scale: np.ndarray  # ones when standardize=False or for constant columns
     scores: np.ndarray  # (n, m) = standardized data @ loadings
-    standardized: bool
     constant_columns: tuple = ()  # warning record: unit scale was substituted
     degenerate: tuple = ()  # components with score variance < DEGENERATE_VARIANCE
 
@@ -66,7 +65,6 @@ def compute_pca(x, standardize: bool = True) -> PcaResult:
         center=center,
         scale=scale,
         scores=z @ loadings,
-        standardized=standardize,
         constant_columns=tuple(constant),
         degenerate=tuple(j for j in range(m) if variances[j] < DEGENERATE_VARIANCE),
     )

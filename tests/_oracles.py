@@ -177,8 +177,11 @@ def design_columns(data, interaction):
     """Pre-repair design, one column at a time: (matrix, origin).
 
     Additive: [candidates | arm-A intercept | arm-B intercept | adjusters];
-    interaction: [candidate j times t | candidate j times (1 - t) | arm
-    intercepts | adjusters], each product taken column by column.
+    interaction: the arm-specific layout [candidate j times t | candidate j
+    times (1 - t) | arm intercepts | adjusters], each product taken column by
+    column. It spans the same space as the library's contrast-form
+    interaction design, so fits of the two must agree on the likelihood and
+    on the arm differences.
     """
     t = data.treatment.astype(float)
     not_t = 1.0 - t
@@ -195,19 +198,22 @@ def design_columns(data, interaction):
 
 
 def arm_difference_loop(fit, k):
-    """(betaA - betaB) / SE one coordinate at a time; NaN where an arm column is gone.
+    """(betaA - betaB) / SE one coordinate at a time on an arm-specific fit.
 
-    Raises the library's DegenerateVarianceError at the first coordinate
-    with SE^2 <= 0.
+    The fit is of the ``design_columns(..., interaction=True)`` layout, whose
+    origins ("arm_candidate", arm, j) this reads from ``fit.origin`` itself.
+    NaN where an arm column is gone; raises the library's
+    DegenerateVarianceError at the first coordinate with SE^2 <= 0.
     """
-    arm_a = dict(zip(*fit.role("arm_candidate", "A")))
-    arm_b = dict(zip(*fit.role("arm_candidate", "B")))
+    dropped = set(fit.dropped_columns)
+    arm = {o[1:]: c for c, o in enumerate(fit.origin)
+           if o[0] == "arm_candidate" and c not in dropped}
     out = np.full(k, np.nan)
     coef, cov = fit.coefficients, fit.covariance
     for j in range(k):
-        if j not in arm_a or j not in arm_b:
+        if ("A", j) not in arm or ("B", j) not in arm:
             continue
-        ia, ib = arm_a[j], arm_b[j]
+        ia, ib = arm["A", j], arm["B", j]
         se2 = cov[ia, ia] + cov[ib, ib] - 2.0 * cov[ia, ib]
         if se2 <= 0.0:
             raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")

@@ -282,6 +282,18 @@ _UNLABELED = [{"screening": {"method": "full_model"}, "k_rule": {"rule": "fixed"
 # every screening sub-block x a value that is not an object
 _BAD_BLOCKS = [(block, value) for block in ("boosting", "lasso", "pca")
                for value in (5, "n_trees", [1])]
+# a data block of the wrong type, or one column in two roles: (id, block, field)
+_BAD_DATA = [
+    ("block-int", 5, "'data'"),
+    ("adjust_cols-str", {"adjust_cols": "c1"}, "data.'adjust_cols'"),
+    ("adjust_cols-int", {"adjust_cols": [1]}, "data.'adjust_cols'"),
+    ("outcome_col-int", {"outcome_col": 5}, "data.'outcome_col'"),
+    ("treatment_col-list", {"treatment_col": ["treatment"]}, "data.'treatment_col'"),
+    ("outcome-is-treatment", {"outcome_col": "treatment"}, "'treatment'"),
+    ("adjust-is-outcome", {"adjust_cols": ["y"]}, "'y'"),
+    ("adjust-is-treatment", {"adjust_cols": ["treatment"]}, "'treatment'"),
+    ("adjust-twice", {"adjust_cols": ["c1", "c1"]}, "'c1'"),
+]
 
 
 @pytest.mark.parametrize("command, cfg, argv, field", [
@@ -311,12 +323,15 @@ _BAD_BLOCKS = [(block, value) for block in ("boosting", "lasso", "pca")
      ["--data", "missing.csv"], "null_sim.'pvalues_csv'"),
     *[("analyze", minimal_cfg(screening={"method": "multi_stage", block: value}),
        ["--data", "missing.csv"], f"screening.'{block}'") for block, value in _BAD_BLOCKS],
+    *[("analyze", minimal_cfg(data=block), ["--data", "missing.csv"], field)
+      for _, block, field in _BAD_DATA],
 ], ids=["seed-str", "seed-negative", "seed-flag-negative", "alpha-str", "labels-duplicate",
         "screen_k-str", "screen_k-zero", "main_effects-str", "correlation-str", "null-reps-50",
         "family-analyze", "family-generate", "k_values-str", "k_values-float",
         "records_csv-true", "records_csv-int", "records_csv-empty", "include_records-str-power",
         "include_records-str-validate", "pvalues_csv-true", "pvalues_csv-empty",
-        *[f"screening.{block}-{type(value).__name__}" for block, value in _BAD_BLOCKS]])
+        *[f"screening.{block}-{type(value).__name__}" for block, value in _BAD_BLOCKS],
+        *[f"data.{name}" for name, _, _ in _BAD_DATA]])
 def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

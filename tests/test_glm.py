@@ -50,7 +50,7 @@ def test_additive_design_layout():
         x_adjust=np.empty((4, 0)),
     )
     design = ts.build_additive_design(d)
-    assert design.width == 4
+    assert design.matrix.shape[1] == 4
     assert design.origin == (
         ("candidate", 0), ("candidate", 1), ("arm_intercept", "A"), ("arm_intercept", "B")
     )
@@ -67,7 +67,7 @@ def test_additive_design_drops_duplicate_candidate():
         x_adjust=np.empty((6, 0)),
     )
     design = ts.build_additive_design(d)
-    assert design.width == 3
+    assert design.matrix.shape[1] == 3
     # Pre-repair layout: [x | copy of x | arm A | arm B]; the later copy drops.
     assert design.dropped_columns == (1,)
 
@@ -103,7 +103,7 @@ def test_cholesky_fast_path_keeps_the_columns_of_the_sequential_fallback(seed, w
 def test_additive_design_appends_adjusters():
     d = toy_dataset(n=40, p=2, p_c=1)
     design = ts.build_additive_design(d)
-    assert design.width == 5
+    assert design.matrix.shape[1] == 5
     assert design.origin[-1] == ("adjust", 0)
 
 
@@ -116,9 +116,11 @@ def test_interaction_design_masks_by_arm():
         x_adjust=np.empty((4, 0)),
     )
     design = ts.build_interaction_design(d)
-    assert np.array_equal(design.matrix[:, 0], [a, b, 0, 0])
-    assert np.array_equal(design.matrix[:, 1], [0, 0, c, e])
-    assert design.origin[:2] == (("arm_candidate", "A", 0), ("arm_candidate", "B", 0))
+    assert np.array_equal(design.matrix[:, 0], [a, b, c, e])
+    assert np.array_equal(design.matrix[:, 3], [a, b, 0, 0])
+    assert design.origin == (
+        ("candidate", 0), ("arm_intercept", "A"), ("arm_intercept", "B"), ("contrast", 0)
+    )
 
 
 @pytest.mark.parametrize("interaction", [False, True])
@@ -128,13 +130,19 @@ def test_design_builders_match_the_column_by_column_oracle(interaction, duplicat
     if duplicate:  # candidate 4 copies candidate 1, so its columns drop
         d = d.with_candidates(np.column_stack([d.x_candidates, d.x_candidates[:, 1]]), ())
     design = (ts.build_interaction_design if interaction else ts.build_additive_design)(d)
-    matrix, origin = design_columns(d, interaction)
-    dropped = ((4, 9) if interaction else (4,)) if duplicate else ()
+    matrix, origin = design_columns(d, interaction=False)
+    if interaction:  # the additive layout plus candidate j times t, column by column
+        t = d.treatment.astype(float)
+        matrix = np.column_stack([matrix] + [d.x_candidates[:, j] * t for j in range(d.p)])
+        origin = origin + [("contrast", j) for j in range(d.p)]
+    dropped = ((4, 13) if interaction else (4,)) if duplicate else ()
     assert design.dropped_columns == dropped
     kept = [k for k in range(matrix.shape[1]) if k not in dropped]
     assert np.array_equal(design.matrix, matrix[:, kept])
     assert design.matrix.flags.c_contiguous
     assert design.origin == tuple(origin[k] for k in kept)
+    additive = ts.build_additive_design(d)  # the interaction design extends it bit for bit
+    assert np.array_equal(design.matrix[:, : additive.matrix.shape[1]], additive.matrix)
 
 
 def test_interaction_design_identity_projection_equals_select_all():
@@ -163,8 +171,8 @@ def test_interaction_design_pc1_loading_gives_pc1_scores():
         method="pca_variance", ranking=(0,), k_selected=1, projection=res.loadings[:, [0]]
     )
     design = ts.build_interaction_design(ts.stage2_dataset(d, pc1))
-    recovered = design.matrix[:, 0] + design.matrix[:, 1]  # unmask the two arm blocks
-    assert np.allclose(recovered, res.scores[:, 0], atol=1e-10)
+    assert np.allclose(design.matrix[:, 0], res.scores[:, 0], atol=1e-10)
+    assert np.array_equal(design.matrix[:, 3], design.matrix[:, 0] * d.treatment)
 
 
 def test_interaction_design_empty_selection_rejected():
@@ -255,7 +263,7 @@ def test_covariance_is_inverse_fisher_information():
         mu = family.inverse_link(eta)
         w = family.working(d.y, eta, mu)[0] / family.dispersion(d.y, mu)
         fisher = X.T @ (X * w[:, None])
-        assert np.allclose(fit.covariance @ fisher, np.eye(design.width), atol=1e-6)
+        assert np.allclose(fit.covariance @ fisher, np.eye(X.shape[1]), atol=1e-6)
         assert np.all(np.diag(fit.covariance) >= 0)
         assert np.allclose(fit.std_errors, np.sqrt(np.diag(fit.covariance)))
 
@@ -480,30 +488,79 @@ def test_arm_difference_h0_moments():
     assert np.all(np.abs(values.var(axis=0, ddof=1) - 1.0) < 0.1)
 
 
+def _relative_error(a, b):
+    return np.max(np.abs(a - b) / np.abs(b))
+
+
+def _kept_width(fit):
+    return fit.coefficients.shape[0] - len(fit.dropped_columns)
+
+
 @pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
 @pytest.mark.parametrize("duplicate", [False, True])
 def test_arm_difference_equals_the_scalar_loop(family, duplicate):
-    d = toy_dataset(n=200, p=3, family=family, seed=9)
-    if duplicate:  # both arm columns of candidate 3 drop, so coordinate 3 is NaN
-        d = d.with_candidates(np.column_stack([d.x_candidates, d.x_candidates[:, 0]]), ())
-    fit = ts.fit(ts.build_interaction_design(d), d.y, family)
-    diffs = ts.standardized_arm_difference(fit, d.p)
-    assert np.array_equal(diffs, arm_difference_loop(fit, d.p), equal_nan=True)
-    assert np.isnan(diffs).tolist() == [False] * 3 + [True] * duplicate
+    # The contrast-form fit against the scalar loop on the arm-specific
+    # layout: the same model in two parameterizations, so the arm
+    # differences, the LRT statistic and its p agree to rounding, here
+    # within 1e-10 relative.
+    for p_c in (0, 1):
+        d = toy_dataset(n=200, p=3, p_c=p_c, family=family, seed=9)
+        if duplicate:  # candidate 3 copies candidate 0, so coordinate 3 is NaN
+            d = d.with_candidates(np.column_stack([d.x_candidates, d.x_candidates[:, 0]]), ())
+        null_fit = ts.fit(ts.build_additive_design(d), d.y, family)
+        fit = ts.fit(ts.build_interaction_design(d), d.y, family)
+        matrix, origin = design_columns(d, interaction=True)
+        arm_fit = ts.fit(glm.make_design([matrix], origin), d.y, family)
+        diffs = ts.standardized_arm_difference(fit, d.p)
+        oracle = arm_difference_loop(arm_fit, d.p)
+        assert np.isnan(diffs).tolist() == [False] * 3 + [True] * duplicate
+        assert np.array_equal(np.isnan(diffs), np.isnan(oracle))
+        assert _relative_error(diffs[:3], oracle[:3]) <= 1e-10
+
+        df = len(fit.role("contrast")[0])
+        arm_df = _kept_width(arm_fit) - _kept_width(null_fit)
+        assert df == arm_df == 3
+        statistic, p = ts.lrt(null_fit, fit, df)
+        arm_statistic, arm_p = ts.lrt(null_fit, arm_fit, arm_df)
+        assert _relative_error(np.array([statistic, p]), np.array([arm_statistic, arm_p])) <= 1e-10
 
 
 def test_arm_difference_zero_variance_names_the_first_coordinate():
+    # The same degenerate case in both parameterizations: contrasts 1 and 2
+    # have zero SE, and in the arm-specific layout Var(A) = Var(B) = Cov(A, B).
     k = 3
     origin = tuple(("arm_candidate", arm, j) for arm in "AB" for j in range(k))
     covariance = np.eye(2 * k)
-    for j in (1, 2):  # Var(A) = Var(B) = Cov(A, B): zero variance of the difference
+    for j in (1, 2):
         covariance[j, k + j] = covariance[k + j, j] = 1.0
-    fit = glm.GlmFit(
+    arm_fit = glm.GlmFit(
         coefficients=np.arange(2.0 * k), covariance=covariance, std_errors=np.ones(2 * k),
         log_likelihood=0.0, deviance=0.0, iterations=1, origin=origin,
     )
+    std_errors = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    fit = glm.GlmFit(
+        coefficients=np.arange(2.0 * k), covariance=np.diag(std_errors**2),
+        std_errors=std_errors, log_likelihood=0.0, deviance=0.0, iterations=1,
+        origin=tuple((role, j) for role in ("candidate", "contrast") for j in range(k)),
+    )
     with pytest.raises(DegenerateVarianceError) as oracle:
-        arm_difference_loop(fit, k)
+        arm_difference_loop(arm_fit, k)
     with pytest.raises(DegenerateVarianceError, match="coordinate 1$") as err:
         ts.standardized_arm_difference(fit, k)
     assert str(err.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
+def test_candidate_constant_in_one_arm_loses_its_contrast(family):
+    # x_1 t = c t lies in the arm-A intercept's span, so rank repair drops
+    # contrast 1 and keeps both arm intercepts: its arm difference is NaN
+    # and the LRT has K - 1 df.
+    d = toy_dataset(n=200, p=3, family=family, seed=12)
+    x = d.x_candidates.copy()
+    x[d.treatment == 1, 1] = 0.7
+    d = d.with_candidates(x, d.candidate_names)
+    screen = ts.ScreeningResult(method="full_model", ranking=(0, 1, 2), k_selected=3)
+    test = ts.test_interaction(d, family, screen)
+    assert np.isnan(test.standardized_differences).tolist() == [False, True, False]
+    assert test.df == 2
+    assert test.df_repaired

@@ -42,9 +42,6 @@ class BoostModel:
     shrinkage: float
     initial_value: float
     relative_influence: np.ndarray  # length p over candidates, sums to 100 or all zero
-    improvements_all: np.ndarray  # raw per-scan-variable totals (diagnostics)
-    variable_names: tuple
-    n_candidates: int
 
 
 def _best_stump(order, penalty, midpoints, weight, r, d):
@@ -93,7 +90,6 @@ def fit_boost(
 
     # One contiguous row per scan variable: candidates, adjusters, then treatment.
     x = np.vstack([data.x_candidates.T, data.x_adjust.T, data.treatment[None, :]])
-    names = data.candidate_names + data.adjust_names + ("treatment",)
     y = data.y
     nv, n = x.shape
 
@@ -129,9 +125,6 @@ def fit_boost(
         shrinkage=shrinkage,
         initial_value=f0,
         relative_influence=ri,
-        improvements_all=improvements,
-        variable_names=names,
-        n_candidates=data.p,
     )
 
 
@@ -141,5 +134,5 @@ def select_by_influence(model: BoostModel, threshold: float = 1.0):
     Sorted by descending influence; exact ties break to the lower index.
     """
     ri = model.relative_influence
-    chosen = [j for j in range(model.n_candidates) if ri[j] > threshold]
+    chosen = [j for j in range(len(ri)) if ri[j] > threshold]
     return sorted(chosen, key=lambda j: (-ri[j], j))

@@ -156,6 +156,7 @@ class PipelineConfig:
             raise ConfigError("screening.boosting.ri_threshold must be >= 0")
         if cfg.n_lambda < 2:
             raise ConfigError("screening.lasso.n_lambda must be >= 2")
+        cfg.resolve_k(1)  # the rule's own parameter checks, before any data is read
         return cfg
 
     def resolve_k(self, n: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from . import glm, screening as scr
 from .config import PipelineConfig
 from .data_model import SyntheticSpec, TrialDataset, generate_trial
-from .errors import ConfigError, DataError, NullSimulationError, TehScreenError
+from .errors import ConfigError, DataError, NullSimulationError, NumericalError
 from .families import Family
 from .pca import compute_pca
 
@@ -104,6 +104,7 @@ def run_screening(data: TrialDataset, cfg: PipelineConfig, k: int) -> scr.Screen
         return scr.screen_pca_single_stage(
             data, family, supervised=cfg.supervised_pc, k=k,
             standardize=cfg.pca_standardize, n_lambda=cfg.n_lambda,
+            include_treatment=cfg.include_treatment,
         )
     if cfg.method == "multi_stage":
         return scr.screen_multi_stage(
@@ -158,7 +159,7 @@ def simulate_null(
     parametric: outcomes regenerated from the additive fit to the real data
     (treatment effect retained, interactions zero) with freshly permuted arm
     labels each replicate. permutation: labels permuted, outcomes untouched.
-    Replicates whose fits fail are dropped; more than 5% failures aborts.
+    Replicates failing with a DataError or NumericalError are dropped; over 5% aborts.
     """
     family, method = cfg.family, cfg.null_method
     if reps < 100:
@@ -179,7 +180,7 @@ def simulate_null(
             d_rep = data.with_outcome(y_new).with_treatment(t_new)
         try:
             return run_pipeline(d_rep, cfg)
-        except TehScreenError as exc:
+        except (DataError, NumericalError) as exc:
             return exc
 
     results = [one(r) for r in range(reps)]
@@ -316,7 +317,7 @@ def power_study(
         for label, cfg in zip(labels, methods):
             try:
                 row[label] = float(run_pipeline(d, cfg).p_raw)
-            except TehScreenError:
+            except (DataError, NumericalError):
                 row[label] = np.nan
         return row
 

@@ -5,19 +5,19 @@ first enter the path, so candidates are standardized internally (mean 0,
 variance 1 with the 1/n convention) to make that order scale-invariant.
 Intercept, treatment, and adjusters are never penalized.
 
-Objective at one lambda (gaussian):
-    (1/2n) * ||y - U a - X b||^2 + lambda * ||b||_1
-with U the unpenalized block and X the standardized candidates. The binomial
-case wraps the same inner solver in an outer IRLS quadratic approximation.
+Objective at one lambda, for a family with its canonical link:
+    deviance(y, mu) / 2n + lambda * ||b||_1,   mu = inverse_link(U a + X b)
+with U the unpenalized block and X the standardized candidates. One
+penalized-IRLS loop (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw.
+33(1), section 3) alternates coordinate descent on a working quadratic with
+the family's weights at the new fit. With D = [U | X] the quadratic is the
+Gram matrix G = D'WD/n and the score D'(y - mu)/n, rebuilt only when the
+weights change; unchanged weights (always, for gaussian) mean it was exact.
 
-The inner solver uses covariance updates (Friedman, Hastie & Tibshirani
-2010, J. Stat. Softw. 33(1)): with D = [U | X], it forms the weighted Gram
-matrix G = D'WD/n once (per path for gaussian, per outer IRLS step for
-binomial) and keeps the gradient r = D'W(z - D theta)/n current, so one
-coordinate step costs O(q + p) rather than O(n). When a full sweep leaves
-the active set and its signs unchanged, one linear solve on that set jumps
-to its exact minimizer; sweeping resumes until no coordinate moves by
-CD_TOL.
+Coordinate descent keeps the gradient r = D'W(z - D theta)/n current, so one
+step costs O(q + p) rather than O(n). When a full sweep leaves the active
+set and its signs unchanged, one linear solve on that set jumps to its exact
+minimizer; sweeping resumes until no coordinate moves by CD_TOL.
 """
 
 import math
@@ -27,7 +27,7 @@ import numpy as np
 
 from .data_model import TrialDataset
 from .errors import DataError, FitError
-from .families import BINOMIAL, GAUSSIAN, MU_EPS, Family
+from .families import Family
 from . import glm
 
 CD_TOL = 1e-11
@@ -47,27 +47,20 @@ def soft_threshold(z, lam):
 class LassoPath:
     """Solutions along a strictly decreasing lambda grid.
 
-    ``coefficients_per_lambda`` holds candidate coefficients on the original
-    covariate scale; ``coefficients_std_per_lambda`` the standardized-scale
-    ones that define entry order; ``unpenalized_per_lambda`` the coefficients
-    of the unpenalized block (intercept [, treatment], adjusters, raw scale);
+    ``coefficients_std_per_lambda`` holds the standardized-scale candidate
+    coefficients that define entry order; ``unpenalized_per_lambda`` those of
+    the unpenalized block (intercept [, treatment], adjusters, raw scale);
     ``sweeps`` the coordinate-descent sweeps spent along the whole path.
     """
 
     lambdas: np.ndarray
-    coefficients_per_lambda: tuple
     coefficients_std_per_lambda: tuple
     unpenalized_per_lambda: tuple
     entry_order: tuple
-    unpenalized_indices: tuple
     include_treatment: bool
     center: np.ndarray
     scale: np.ndarray
     sweeps: int = 0
-
-    @property
-    def p(self):
-        return self.center.shape[0]
 
 
 def _standardize(x):
@@ -173,36 +166,44 @@ def fit_path(
     q = u.shape[1]
     design = np.hstack([u, xs])
     theta = np.concatenate([null_fit.coefficients, np.zeros(p)])
-    if family is GAUSSIAN:
-        gram = design.T @ design / n
-        grad = design.T @ (y - design @ theta) / n  # independent of lambda
-    elif family is not BINOMIAL:
-        raise DataError(f"unsupported family {family!r}")
-    coefs, coefs_std, unpen = [], [], []
+    eta = design @ theta
+    mu = family.inverse_link(eta)
+    weights = family.working(y, eta, mu)[0]
+    gram, grad = _quadratic(design, y, mu, weights)
+    coefs_std, unpen = [], []
     entry_order: list[int] = []
     entered = np.zeros(p, dtype=bool)
     sweeps = 0
 
     for lam in lambdas:
-        if family is GAUSSIAN:
+        obj_old = np.inf
+        for _ in range(OUTER_MAX):
             sweeps += _cd(gram, grad, theta, lam, q)
+            eta = design @ theta
+            mu = family.inverse_link(eta)
+            new_weights = family.working(y, eta, mu)[0]
+            if np.array_equal(new_weights, weights):
+                break  # the quadratic was the exact objective: this lambda is solved
+            weights = new_weights
+            gram, grad = _quadratic(design, y, mu, weights)
+            obj = family.deviance(y, mu) / (2 * n) + lam * np.abs(theta[q:]).sum()
+            if abs(obj_old - obj) <= OUTER_TOL * (abs(obj) + 1.0):
+                break
+            obj_old = obj
         else:
-            sweeps += _binomial_outer(design, y, theta, lam, q)
+            raise FitError(f"penalized IRLS failed to converge at lambda={lam:.3g}")
         beta = theta[q:]
         newly = [j for j in range(p) if not entered[j] and beta[j] != 0.0]
         entry_order.extend(sorted(newly))  # ties at one grid point: ascending index
         entered[newly] = True
         coefs_std.append(beta.copy())
-        coefs.append(beta / scale)
         unpen.append(theta[:q].copy())
 
     return LassoPath(
         lambdas=lambdas,
-        coefficients_per_lambda=tuple(coefs),
         coefficients_std_per_lambda=tuple(coefs_std),
         unpenalized_per_lambda=tuple(unpen),
         entry_order=tuple(entry_order),
-        unpenalized_indices=tuple(range(q)),
         include_treatment=include_treatment,
         center=center,
         scale=scale,
@@ -210,29 +211,10 @@ def fit_path(
     )
 
 
-def _binomial_outer(design, y, theta, lam, q):
-    """Penalized IRLS: quadratic approximation outside, coordinate descent inside.
-
-    Each outer step forms the weighted Gram matrix D'WD/n and the gradient
-    D'(y - mu)/n of the working quadratic once; the fitted probabilities of
-    one step's objective are the next step's starting point. Returns the
-    total CD sweeps.
-    """
+def _quadratic(design, y, mu, weights):
+    """Gram D'WD/n and canonical-link score D'(y - mu)/n of the working quadratic."""
     n = design.shape[0]
-    obj_old = np.inf
-    sweeps = 0
-    prob = BINOMIAL.inverse_link(design @ theta)
-    for _ in range(OUTER_MAX):
-        mu = np.clip(prob, MU_EPS, 1.0 - MU_EPS)
-        gram = design.T @ (design * (mu * (1.0 - mu))[:, None]) / n
-        grad = design.T @ (y - mu) / n
-        sweeps += _cd(gram, grad, theta, lam, q)
-        prob = BINOMIAL.inverse_link(design @ theta)
-        obj = -BINOMIAL.log_likelihood(y, prob) / n + lam * np.abs(theta[q:]).sum()
-        if abs(obj_old - obj) <= OUTER_TOL * (abs(obj) + 1.0):
-            return sweeps
-        obj_old = obj
-    raise FitError(f"penalized IRLS failed to converge at lambda={lam:.3g}")
+    return design.T @ (design * weights[:, None]) / n, design.T @ (y - mu) / n
 
 
 def rank_by_entry(path: LassoPath, p: int):

@@ -170,6 +170,7 @@ def screen_pca_single_stage(
     k: int | None = None,
     standardize: bool = True,
     n_lambda: int = 100,
+    include_treatment: bool = True,
 ) -> ScreeningResult:
     """PCA of all candidates; rank PCs by variance or by outcome evidence.
 
@@ -182,7 +183,9 @@ def screen_pca_single_stage(
     raw_projection = res.loadings / res.scale[:, None]
     if supervised:
         pc_data = data.with_candidates(res.scores, tuple(f"PC{i + 1}" for i in range(res.m)))
-        ranking = tuple(rank_lasso(pc_data, family, n_lambda=n_lambda).ranking)
+        ranking = rank_lasso(
+            pc_data, family, include_treatment=include_treatment, n_lambda=n_lambda
+        ).ranking
     else:
         ranking = tuple(rank_pcs_by_variance(res))
     k_sel = _clamp_k(k, res.m)
@@ -240,7 +243,9 @@ def screen_multi_stage(
     subset = selected or list(range(data.p))
     names = [data.candidate_names[j] for j in subset]
     sub = data.with_candidates(data.x_candidates[:, subset], names)
-    pca = screen_pca_single_stage(sub, family, pc_rank == "supervised", k, standardize, n_lambda)
+    pca = screen_pca_single_stage(
+        sub, family, pc_rank == "supervised", k, standardize, n_lambda, include_treatment
+    )
     if selected:
         m = len(selected)
         trace["m_selected"] = m

@@ -160,15 +160,11 @@ def test_select_by_influence_threshold_rule():
     model = BoostModel(
         stumps=(), shrinkage=0.1, initial_value=0.0,
         relative_influence=np.array([60.0, 39.0, 1.0, 0.0]),
-        improvements_all=np.zeros(5), variable_names=("a", "b", "c", "d", "treatment"),
-        n_candidates=4,
     )
     assert ts.select_by_influence(model, 1.0) == [0, 1]
     zero = BoostModel(
         stumps=(), shrinkage=0.1, initial_value=0.0,
         relative_influence=np.zeros(4),
-        improvements_all=np.zeros(5), variable_names=("a", "b", "c", "d", "treatment"),
-        n_candidates=4,
     )
     assert ts.select_by_influence(zero, 0.0) == []
 
@@ -233,8 +229,8 @@ def test_treatment_splits_never_reported_as_candidate_influence():
     y = 3.0 * t + 0.01 * rng.standard_normal(n)
     d = dataset_from_columns(y, t, [rng.standard_normal(n)])
     model = ts.fit_boost(d, ts.GAUSSIAN, n_trees=30, shrinkage=0.5)
-    treatment_scan_index = model.variable_names.index("treatment")
-    assert model.improvements_all[treatment_scan_index] > 0
+    treatment_scan_index = d.p + d.p_c  # scan order: candidates, adjusters, treatment
+    assert sum(s.improvement for s in model.stumps if s.split_variable == treatment_scan_index) > 0
     assert model.relative_influence.sum() == pytest.approx(100.0, abs=1e-9) or np.all(
         model.relative_influence == 0.0
     )

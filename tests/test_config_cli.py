@@ -279,6 +279,12 @@ _POWER = {
 }
 _UNLABELED = [{"screening": {"method": "full_model"}, "k_rule": {"rule": "fixed", "k": k}}
               for k in (1, 3)]
+
+
+def _power_with_k_rule(k_rule):
+    return {**_POWER, "methods": [{**_POWER["methods"][0], "k_rule": k_rule}]}
+
+
 # every screening sub-block x a value that is not an object
 _BAD_BLOCKS = [(block, value) for block in ("boosting", "lasso", "pca")
                for value in (5, "n_trees", [1])]
@@ -302,6 +308,8 @@ _BAD_DATA = [
     ("generate", {"spec": _SPEC}, ["--seed", "-1"], "seed"),
     ("power-study", {**_POWER, "alpha": "0.05"}, [], "alpha"),
     ("power-study", {**_POWER, "methods": _UNLABELED}, [], "label"),
+    ("power-study", _power_with_k_rule({"rule": "power"}), [], "'coef'"),
+    ("power-study", _power_with_k_rule({"rule": "fixed", "k": 2.5}), [], "'k'"),
     ("validate-theorem", {**_VALIDATE, "screen_k": "2"}, [], "screen_k"),
     ("validate-theorem", {**_VALIDATE, "screen_k": 0}, [], "screen_k"),
     ("generate", {"spec": {**_SPEC, "main_effects": "ab"}}, [], "main_effects"),
@@ -326,6 +334,7 @@ _BAD_DATA = [
     *[("analyze", minimal_cfg(data=block), ["--data", "missing.csv"], field)
       for _, block, field in _BAD_DATA],
 ], ids=["seed-str", "seed-negative", "seed-flag-negative", "alpha-str", "labels-duplicate",
+        "k_rule-power-no-coef", "k_rule-fixed-float",
         "screen_k-str", "screen_k-zero", "main_effects-str", "correlation-str", "null-reps-50",
         "family-analyze", "family-generate", "k_values-str", "k_values-float",
         "records_csv-true", "records_csv-int", "records_csv-empty", "include_records-str-power",

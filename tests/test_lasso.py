@@ -80,7 +80,7 @@ def test_zero_outcome_keeps_path_empty():
         x_adjust=np.empty((n, 0)),
     )
     path = ts.fit_path(d, ts.GAUSSIAN, n_lambda=25)
-    for beta in path.coefficients_per_lambda:
+    for beta in path.coefficients_std_per_lambda:
         assert np.all(beta == 0.0)
     assert path.entry_order == ()
 
@@ -133,11 +133,9 @@ def test_lambda_grid_shape():
 def _manual_path(entry_order, p):
     return LassoPath(
         lambdas=np.array([1.0, 0.5]),
-        coefficients_per_lambda=(np.zeros(p), np.zeros(p)),
         coefficients_std_per_lambda=(np.zeros(p), np.zeros(p)),
         unpenalized_per_lambda=(np.zeros(1), np.zeros(1)),
         entry_order=tuple(entry_order),
-        unpenalized_indices=(0,),
         include_treatment=False,
         center=np.zeros(p),
         scale=np.ones(p),
@@ -187,7 +185,7 @@ def test_coefficients_reported_on_original_scale():
         y=y, treatment=np.array([1, 0] * (n // 2)), x_candidates=x, x_adjust=np.empty((n, 0))
     )
     path = ts.fit_path(d, ts.GAUSSIAN, n_lambda=60)
-    final = path.coefficients_per_lambda[-1]
+    final = path.coefficients_std_per_lambda[-1] / path.scale
     assert final[0] == pytest.approx(0.5, abs=0.02)
 
 

@@ -273,6 +273,27 @@ def test_full_rank_stage2_invariant_under_any_invertible_map():
     assert stat_plain == pytest.approx(stat_mapped, abs=1e-8)
 
 
+@pytest.mark.parametrize("screening", [
+    {"method": "pca", "supervised": True},
+    {"method": "multi_stage", "ml": "lasso", "pc_rank": "supervised"},
+])
+def test_supervised_pc_lasso_follows_include_treatment(monkeypatch, screening):
+    seen = []
+    fit_path = ts.lasso.fit_path
+
+    def spy(data, family, include_treatment=True, n_lambda=100):
+        seen.append(include_treatment)
+        return fit_path(data, family, include_treatment=include_treatment, n_lambda=n_lambda)
+
+    monkeypatch.setattr(ts.lasso, "fit_path", spy)
+    cfg = ts.PipelineConfig.from_dict({
+        "family": "gaussian", "k_rule": {"rule": "fixed", "k": 2},
+        "screening": {**screening, "include_treatment": False},
+    })
+    ts.run_pipeline(ts.generate_trial(h0_spec(5)), cfg)
+    assert seen and not any(seen)
+
+
 def test_multi_stage_supervised_pc_rank_targets_outcome_aligned_pc():
     # With supervised PC ranking, the top-ranked component of the selected
     # subset must be the one whose scores explain the outcome best, even when

@@ -21,7 +21,7 @@ import numpy as np
 from . import glm, screening as scr
 from .config import PipelineConfig
 from .data_model import SyntheticSpec, TrialDataset, generate_trial
-from .errors import ConfigError, DataError, NullSimulationError, NumericalError
+from .errors import ConfigError, DataError, NestingError, NullSimulationError, NumericalError
 from .families import Family
 from .pca import compute_pca
 
@@ -71,11 +71,18 @@ def test_interaction(
     """Fit the additive and interaction models on the screened covariates; LRT with df = K.
 
     df is the number of contrast columns kept through the alternative fit,
-    so it falls below K where rank repair drops a contrast.
+    so it falls below K where rank repair drops a contrast. That count is the
+    df of a nested pair only if both fits keep the same additive columns;
+    otherwise NestingError names the columns kept by one fit alone.
     """
     d2 = scr.stage2_dataset(data, screen)
     null_fit = glm.fit(glm.build_additive_design(d2), d2.y, family)
     alt_fit = glm.fit(glm.build_interaction_design(d2), d2.y, family)
+    null_kept, alt_kept = _kept_additive(null_fit), _kept_additive(alt_fit)
+    if null_kept != alt_kept:
+        raise NestingError("additive columns kept by one fit only: null "
+                           f"{sorted(null_kept - alt_kept, key=str)}, alternative "
+                           f"{sorted(alt_kept - null_kept, key=str)}")
     df = len(alt_fit.role("contrast")[0])
     statistic, p_raw = glm.lrt(null_fit, alt_fit, df)
     diffs = glm.standardized_arm_difference(alt_fit, d2.p)
@@ -87,6 +94,12 @@ def test_interaction(
         screening=screen,
         df_repaired=(df != screen.k_selected),
     )
+
+
+def _kept_additive(fit):
+    """Origins of the non-contrast columns that ``fit`` keeps."""
+    dropped = set(fit.dropped_columns)
+    return {o for k, o in enumerate(fit.origin) if k not in dropped and o[0] != "contrast"}
 
 
 def run_screening(data: TrialDataset, cfg: PipelineConfig, k: int) -> scr.ScreeningResult:

@@ -15,9 +15,11 @@ Gram matrix G = D'WD/n and the score D'(y - mu)/n, rebuilt only when the
 weights change; unchanged weights (always, for gaussian) mean it was exact.
 
 Coordinate descent keeps the gradient r = D'W(z - D theta)/n current, so one
-step costs O(q + p) rather than O(n). When a full sweep leaves the active
-set and its signs unchanged, one linear solve on that set jumps to its exact
-minimizer; sweeping resumes until no coordinate moves by CD_TOL.
+step costs O(q + p) rather than O(n). Each lambda first jumps, by one linear
+solve, to the exact minimizer on the warm start's active set and signs. One
+vectorized KKT check (Friedman, Hastie & Tibshirani 2010, section 2.6;
+Tibshirani et al. 2012, JRSS-B 74(2), section 7) then certifies the point:
+cyclic sweeps run only while some coordinate's step would reach CD_TOL.
 """
 
 import math
@@ -50,7 +52,9 @@ class LassoPath:
     ``coefficients_std_per_lambda`` holds the standardized-scale candidate
     coefficients that define entry order; ``unpenalized_per_lambda`` those of
     the unpenalized block (intercept [, treatment], adjusters, raw scale);
-    ``sweeps`` the coordinate-descent sweeps spent along the whole path.
+    ``sweeps`` the cyclic coordinate-descent sweeps spent along the whole
+    path, each run only after a failed KKT certificate (0 when every
+    certificate passes).
     """
 
     lambdas: np.ndarray
@@ -80,20 +84,25 @@ def _unpenalized_block(data, include_treatment):
 
 
 def _cd(gram, grad, theta, lam, q):
-    """One lambda: cyclic coordinate descent on a quadratic given by its Gram matrix.
+    """One lambda: coordinate descent on a quadratic given by its Gram matrix.
 
     Minimizes (1/2) theta' G theta - c' theta + lam * ||theta[q:]||_1 with the
     gradient ``grad`` = c - G theta kept current, so a coordinate step costs
-    O(len(theta)) and touches no length-n vector. After a sweep that leaves
-    the active set and its signs unchanged, jumps to the exact minimizer on
-    that set. Updates ``theta`` and ``grad`` in place; returns the sweeps used.
+    O(len(theta)) and touches no length-n vector. Jumps to the exact
+    minimizer on the warm start's active set, then sweeps only while the KKT
+    certificate fails, jumping again after a sweep that keeps the signs.
+    Updates ``theta`` and ``grad`` in place; returns the sweeps used.
     """
-    diag = gram.diagonal().tolist()
-    coords = [k for k in range(theta.shape[0]) if diag[k] > 0]
-    for sweep in range(1, CD_MAX_SWEEPS + 1):
+    diag = gram.diagonal()
+    coords = np.flatnonzero(diag > 0)
+    _active_set_solve(gram, grad, theta, lam, q, coords)
+    sweeps = 0
+    while _largest_step(diag, grad, theta, lam, q, coords) >= CD_TOL:
+        if sweeps == CD_MAX_SWEEPS:
+            raise FitError(f"coordinate descent failed to converge at lambda={lam:.3g}")
+        sweeps += 1
         signs = np.sign(theta[q:])
-        delta = 0.0
-        for k in coords:
+        for k in coords.tolist():
             if k < q:
                 step = grad[k] / diag[k]
             else:
@@ -101,26 +110,36 @@ def _cd(gram, grad, theta, lam, q):
             if step != 0.0:
                 theta[k] += step
                 grad -= step * gram[k]
-                delta = max(delta, abs(step))
-        if delta < CD_TOL:
-            return sweep
         if np.array_equal(np.sign(theta[q:]), signs):
             _active_set_solve(gram, grad, theta, lam, q, coords)
-    raise FitError(f"coordinate descent failed to converge at lambda={lam:.3g}")
+    return sweeps
+
+
+def _largest_step(diag, grad, theta, lam, q, coords):
+    """KKT certificate: the largest |step| cyclic descent would take at any coordinate.
+
+    grad_k / G_kk on the unpenalized block, S(grad_k + G_kk theta_k, lam) / G_kk
+    - theta_k on the penalized one, with S the soft threshold.
+    """
+    d, g, t = diag[coords], grad[coords], theta[coords]
+    z = g + d * t
+    shrunk = np.sign(z) * np.maximum(np.abs(z) - lam, 0.0) / d - t
+    return float(np.max(np.abs(np.where(coords < q, g / d, shrunk)), initial=0.0))
 
 
 def _active_set_solve(gram, grad, theta, lam, q, coords):
     """Move to the exact minimizer on the active set with its current signs.
 
     Solves G[A, A] d = grad[A] - lam * sign(theta[A]) (zero sign on the
-    unpenalized block); the move is skipped if that system is singular or the
-    solution flips the sign of a penalized coefficient.
+    unpenalized block), A the ``coords`` that are unpenalized or nonzero; the
+    move is skipped if that system is singular or the solution flips the
+    sign of a penalized coefficient.
     """
-    active = np.array([k for k in coords if k < q or theta[k] != 0.0], dtype=np.intp)
+    active = coords[(coords < q) | (theta[coords] != 0.0)]
     penalized = active >= q
     signs = np.where(penalized, np.sign(theta[active]), 0.0)
     try:
-        d = np.linalg.solve(gram[np.ix_(active, active)], grad[active] - lam * signs)
+        d = np.linalg.solve(gram[active][:, active], grad[active] - lam * signs)
     except np.linalg.LinAlgError:
         return
     new = theta[active] + d
@@ -139,10 +158,12 @@ def fit_path(
     """Solve the path from lambda_max (all penalized coefficients zero) downward.
 
     lambda_max is the largest absolute score of the penalized block at the
-    unpenalized-only fit, so at the first grid point the penalized
-    coefficients are zero only up to rounding: the top-score candidate can
-    enter there at ~1e-15 and then ranks first. Subsequent lambdas
-    warm-start from the previous one.
+    unpenalized-only fit, so at the first grid point the top-score candidate
+    sits on the soft-threshold boundary. A rounding-level step there is
+    below CD_TOL, so the certificate passes and nothing enters by itself;
+    a coefficient that a failed certificate's sweep moves off zero still
+    enters at that point and ranks first. Subsequent lambdas warm-start from
+    the previous one.
     """
     if n_lambda < 2:
         raise DataError("n_lambda must be >= 2")

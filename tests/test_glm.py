@@ -554,12 +554,16 @@ def test_arm_difference_zero_variance_names_the_first_coordinate():
 def test_candidate_constant_in_one_arm_loses_its_contrast(family):
     # x_1 t = c t lies in the arm-A intercept's span, so rank repair drops
     # contrast 1 and keeps both arm intercepts: its arm difference is NaN
-    # and the LRT has K - 1 df.
+    # and the LRT has K - 1 df. Both fits keep every additive column, so
+    # test_interaction's nesting check passes.
     d = toy_dataset(n=200, p=3, family=family, seed=12)
     x = d.x_candidates.copy()
     x[d.treatment == 1, 1] = 0.7
     d = d.with_candidates(x, d.candidate_names)
     screen = ts.ScreeningResult(method="full_model", ranking=(0, 1, 2), k_selected=3)
+    alt_fit = ts.fit(ts.build_interaction_design(d), d.y, family)
+    assert alt_fit.role("contrast")[0] == (0, 2)
+    assert alt_fit.role("arm_intercept")[0] == ("A", "B")
     test = ts.test_interaction(d, family, screen)
     assert np.isnan(test.standardized_differences).tolist() == [False, True, False]
     assert test.df == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import tehscreen as ts
 from tehscreen.config import PipelineConfig
-from tehscreen.errors import ConfigError, DataError
+from tehscreen.errors import ConfigError, DataError, NestingError
 from tehscreen.inference import NullDistribution, uniform_ks_distance
 
 
@@ -71,6 +73,27 @@ def test_interaction_reports_df_repair_on_degenerate_projection():
     result = ts.test_interaction(d, ts.GAUSSIAN, screen)
     assert result.df == 1
     assert result.df_repaired
+
+
+def test_interaction_refuses_fits_that_keep_different_additive_columns(monkeypatch):
+    # df counts the contrasts the alternative fit keeps, which is the df of
+    # a nested pair only if both fits keep the same additive columns.
+    d = h0_data(3)
+    fit = ts.glm.fit
+
+    def alt_drops_arm_b(design, y, family):
+        result = fit(design, y, family)
+        if any(o[0] == "contrast" for o in design.origin):
+            extra = design.origin.index(("arm_intercept", "B"))
+            dropped = tuple(sorted((*result.dropped_columns, extra)))
+            result = replace(result, dropped_columns=dropped)
+        return result
+
+    monkeypatch.setattr(ts.glm, "fit", alt_drops_arm_b)
+    screen = ts.ScreeningResult(method="full_model", ranking=(0, 1, 2, 3), k_selected=2)
+    message = r"one fit only: null \[\('arm_intercept', 'B'\)\], alternative \[\]$"
+    with pytest.raises(NestingError, match=message):
+        ts.test_interaction(d, ts.GAUSSIAN, screen)
 
 
 # ---------------------------------------------------------------------------

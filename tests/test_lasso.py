@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tehscreen as ts
+from tehscreen import lasso
 from tehscreen.errors import DataError
 from tehscreen.lasso import LassoPath
 
@@ -248,4 +249,39 @@ def test_active_set_solve_cuts_sweeps(family):
     d = _trial(family, seed=22)
     path = ts.fit_path(d, family, n_lambda=40)
     *_, oracle_sweeps = _oracle_path(d, family, path)
-    assert 0 < path.sweeps <= oracle_sweeps / 3
+    # Measured: gaussian 12 sweeps against the oracle's 1159, binomial 10
+    # against 2145; sweeping until nothing moved took 85 and 199.
+    assert 0 < path.sweeps <= oracle_sweeps / 40
+
+
+def test_largest_step_equals_the_scalar_coordinate_steps():
+    # The certificate is the first step of a cyclic sweep at every coordinate,
+    # computed at once; the arithmetic is the same, so the values are equal.
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((40, 6))
+    gram = a.T @ a / 40
+    gram[4, :] = gram[:, 4] = 0.0  # a zero column: skipped like in a sweep
+    diag = gram.diagonal()
+    coords = np.flatnonzero(diag > 0)
+    grad = rng.standard_normal(6)
+    theta = np.array([0.3, -1.2, 0.0, 0.4, 0.0, 0.0])
+    lam, q = 0.5, 2
+    steps = [grad[k] / diag[k] if k < q
+             else ts.soft_threshold(grad[k] + diag[k] * theta[k], lam) / diag[k] - theta[k]
+             for k in coords]
+    assert lasso._largest_step(diag, grad, theta, lam, q, coords) == max(abs(s) for s in steps)
+
+
+def test_cd_on_a_solved_quadratic_returns_without_a_sweep():
+    # One unpenalized coordinate, two active ones at their KKT values
+    # grad = lam * sign(theta), and one inactive with |grad| < lam.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((30, 4))
+    gram = a.T @ a / 30
+    lam = 0.125
+    theta = np.array([0.5, 0.75, 0.0, -0.25])
+    grad = np.array([0.0, lam, 0.0625, -lam])
+    theta_before, grad_before = theta.tobytes(), grad.tobytes()
+    assert lasso._cd(gram, grad, theta, lam, 1) == 0
+    assert theta.tobytes() == theta_before
+    assert grad.tobytes() == grad_before

@@ -6,12 +6,18 @@ library version, so rerunning from a report's config reproduces all numbers.
 Screening method and K cannot be overridden from the command line
 (pre-registration integrity); the seed can.
 
+Each subcommand is a handler ``cmd_*(cfg_dict, args) -> (seed, body, csv)``
+that writes nothing. ``body`` is the report beyond the common envelope
+(``None`` when the command writes no report) and ``csv`` is ``None`` or a
+``(path, rows)`` pair, the rows an iterable of dicts. ``main`` checks that the
+directory of ``--out`` exists, reads the config, runs the handler and writes
+every output.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 Errors are emitted as one JSON object on stderr.
 """
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import __version__, inference
 from .config import PipelineConfig, _optional, load_json, load_study, synthetic_spec_from_dict
-from .data_model import generate_trial, load_csv, write_csv
+from .data_model import csv_rows, generate_trial, load_csv, write_rows
 from .errors import ConfigError, DataError, TehScreenError
 
 EXIT_OK = 0
@@ -53,6 +59,15 @@ def _write_report(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _check_directory(path, field):
+    """Refuse an output path whose directory does not exist, before any work runs."""
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise ConfigError(
+            f"cannot write {path!r} ({field}): directory {directory!r} does not exist"
+        )
 
 
 def _report_envelope(cfg_dict, seed):
@@ -92,10 +107,12 @@ def _int_field(name, value, minimum):
 
 
 def _csv_target(block, key, where=""):
-    """An optional CSV output path: absent, or a nonempty string."""
+    """An optional CSV output path: absent, or a nonempty string in an existing directory."""
     target = _optional(block, key, str, None, where)
     if target == "":
         raise ConfigError(f"config field {where}{key!r} must be a nonempty file path")
+    if target is not None:
+        _check_directory(target, f"config field {where}{key!r}")
     return target
 
 
@@ -104,8 +121,7 @@ def _seed(args, default):
     return _int_field("seed", default if args.seed is None else args.seed, 0)
 
 
-def cmd_analyze(args):
-    cfg_dict = load_json(args.config)
+def cmd_analyze(cfg_dict, args):
     cfg = PipelineConfig.from_dict(cfg_dict)
     seed = _seed(args, cfg.seed)
     data = _load_data(cfg_dict, args.data)
@@ -122,22 +138,16 @@ def cmd_analyze(args):
         null_info = {"reps": null.reps, "failures": null.failures, "method": cfg.null_method}
 
     test_block = _jsonable(test)
-    report = _report_envelope(cfg_dict, seed)
-    report.update(
-        {
-            "n": data.n, "p": data.p, "p_c": data.p_c,
-            "k": cfg.resolve_k(data.n),
-            "screening": test_block.pop("screening"),
-            "test": test_block,
-            "null_simulation": null_info,
-        }
-    )
-    _write_report(args.out, report)
-    return EXIT_OK
+    return seed, {
+        "n": data.n, "p": data.p, "p_c": data.p_c,
+        "k": cfg.resolve_k(data.n),
+        "screening": test_block.pop("screening"),
+        "test": test_block,
+        "null_simulation": null_info,
+    }, None
 
 
-def cmd_sweep_k(args):
-    cfg_dict = load_json(args.config)
+def cmd_sweep_k(cfg_dict, args):
     cfg = PipelineConfig.from_dict(cfg_dict)
     if cfg.method == "irm":
         raise ConfigError("sweep-k does not apply to the K=1 internal-risk-model screen")
@@ -166,26 +176,15 @@ def cmd_sweep_k(args):
             }
         )
 
-    report = _report_envelope(cfg_dict, seed)
-    report.update(
-        {
-            "n": data.n, "p": data.p,
-            "exploratory": "K sweep is exploratory, not a pre-registered analysis",
-            "screening": base,
-            "table": table,
-        }
-    )
-    _write_report(args.out, report)
-    csv_path = os.path.splitext(args.out)[0] + ".csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(table[0].keys()))
-        writer.writeheader()
-        writer.writerows(_jsonable(table))
-    return EXIT_OK
+    return seed, {
+        "n": data.n, "p": data.p,
+        "exploratory": "K sweep is exploratory, not a pre-registered analysis",
+        "screening": base,
+        "table": table,
+    }, (os.path.splitext(args.out)[0] + ".csv", table)
 
 
-def cmd_simulate_null(args):
-    cfg_dict = load_json(args.config)
+def cmd_simulate_null(cfg_dict, args):
     cfg = PipelineConfig.from_dict(cfg_dict)
     if cfg.null_reps == 0:
         raise ConfigError("null_sim.reps must be >= 100 for simulate-null")
@@ -193,33 +192,22 @@ def cmd_simulate_null(args):
     csv_target = _csv_target(cfg_dict.get("null_sim", {}), "pvalues_csv", "null_sim.")
     data = _load_data(cfg_dict, args.data)
     null = inference.simulate_null(data, cfg, reps=cfg.null_reps, seed=seed)
-    report = _report_envelope(cfg_dict, seed)
-    report.update(
-        {
-            "null_distribution": {
-                "reps": null.reps,
-                "failures": null.failures,
-                "generator_spec": null.generator_spec,
-                "ks_distance_vs_uniform": inference.uniform_ks_distance(null.p_values),
-                "fraction_below_0.05": float(np.mean(null.p_values <= 0.05)),
-                "p_values": null.p_values,
-            }
+    body = {
+        "null_distribution": {
+            "reps": null.reps,
+            "failures": null.failures,
+            "generator_spec": null.generator_spec,
+            "ks_distance_vs_uniform": inference.uniform_ks_distance(null.p_values),
+            "fraction_below_0.05": float(np.mean(null.p_values <= 0.05)),
+            "p_values": null.p_values,
         }
-    )
-    _write_report(args.out, report)
-    if csv_target is not None:
-        with open(csv_target, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p_raw"])
-            writer.writerows([[repr(float(p))] for p in null.p_values])
-    return EXIT_OK
+    }
+    rows = [{"p_raw": p} for p in null.p_values]
+    return seed, body, None if csv_target is None else (csv_target, rows)
 
 
-def cmd_validate_theorem(args):
-    cfg_dict = load_json(args.config)
-    if "spec" not in cfg_dict:
-        raise ConfigError("missing config field 'spec'")
-    spec = synthetic_spec_from_dict(cfg_dict["spec"])
+def cmd_validate_theorem(cfg_dict, args):
+    spec = synthetic_spec_from_dict(cfg_dict)
     reps = _int_field("reps", cfg_dict.get("reps", 2000), 100)
     seed = _seed(args, cfg_dict.get("seed", 0))
     proj_kind = cfg_dict.get("projection")
@@ -233,16 +221,13 @@ def cmd_validate_theorem(args):
     report_obj = inference.validate_theorem(
         spec, reps=reps, seed=seed, projected=proj_kind == "pca", screen_k=screen_k
     )
-    report = _report_envelope(cfg_dict, seed)
-    report.update({"summary": report_obj.summary})
+    body = {"summary": report_obj.summary}
     if include_records:
-        report["records"] = list(report_obj.records)
-    _write_report(args.out, report)
-    return EXIT_OK
+        body["records"] = report_obj.records
+    return seed, body, None
 
 
-def cmd_power_study(args):
-    cfg_dict = load_json(args.config)
+def cmd_power_study(cfg_dict, args):
     spec, methods = load_study(cfg_dict)
     reps = _int_field("reps", cfg_dict.get("reps", 1000), 10)
     alpha = cfg_dict.get("alpha", 0.05)
@@ -253,28 +238,17 @@ def cmd_power_study(args):
     csv_target = _csv_target(cfg_dict, "records_csv")
 
     study = inference.power_study(spec, methods, reps=reps, seed=seed, alpha=alpha)
-    report = _report_envelope(cfg_dict, seed)
-    report.update({"summary": study.summary})
+    body = {"summary": study.summary}
     if include_records:
-        report["records"] = list(study.records)
-    _write_report(args.out, report)
-    if csv_target is not None:
-        with open(csv_target, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["replicate", *(c.label for c in methods)])
-            writer.writeheader()
-            writer.writerows(_jsonable(list(study.records)))
-    return EXIT_OK
+        body["records"] = study.records
+    return seed, body, None if csv_target is None else (csv_target, study.records)
 
 
-def cmd_generate(args):
-    cfg_dict = load_json(args.config)
-    if "spec" not in cfg_dict:
-        raise ConfigError("missing config field 'spec'")
-    spec = synthetic_spec_from_dict(cfg_dict["spec"])
-    spec = dataclasses.replace(spec, seed=_seed(args, spec.seed))
-    data = generate_trial(spec)
-    write_csv(data, args.out)
-    return EXIT_OK
+def cmd_generate(cfg_dict, args):
+    spec = synthetic_spec_from_dict(cfg_dict)
+    seed = _seed(args, spec.seed)
+    data = generate_trial(dataclasses.replace(spec, seed=seed))
+    return seed, None, (args.out, csv_rows(data))
 
 
 def _build_parser():
@@ -284,45 +258,42 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"tehscreen {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, data=False):
+    for name, handler, help_text, reads_data in (
+        ("analyze", cmd_analyze, "Stage-1 screen + Stage-2 interaction test", True),
+        ("sweep-k", cmd_sweep_k, "exploratory p-value-vs-K table (shared Stage-1)", True),
+        ("simulate-null", cmd_simulate_null, "empirical H0 distribution of the pipeline p-value",
+         True),
+        ("validate-theorem", cmd_validate_theorem,
+         "independence of screening and arm differences", False),
+        ("power-study", cmd_power_study, "paired rejection rates of several pipelines", False),
+        ("generate", cmd_generate, "write a synthetic trial to CSV", False),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
-        if data:
+        if reads_data:
             p.add_argument("--data", required=True, help="trial data CSV")
         p.add_argument("--out", required=True, help="output report path")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-
-    p = sub.add_parser("analyze", help="Stage-1 screen + Stage-2 interaction test")
-    common(p, data=True)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("sweep-k", help="exploratory p-value-vs-K table (shared Stage-1)")
-    common(p, data=True)
-    p.add_argument("--k-values", type=lambda s: [int(v) for v in s.split(",")], default=None)
-    p.set_defaults(func=cmd_sweep_k)
-
-    p = sub.add_parser("simulate-null", help="empirical H0 distribution of the pipeline p-value")
-    common(p, data=True)
-    p.set_defaults(func=cmd_simulate_null)
-
-    p = sub.add_parser("validate-theorem", help="independence of screening and arm differences")
-    common(p)
-    p.set_defaults(func=cmd_validate_theorem)
-
-    p = sub.add_parser("power-study", help="paired rejection rates of several pipelines")
-    common(p)
-    p.set_defaults(func=cmd_power_study)
-
-    p = sub.add_parser("generate", help="write a synthetic trial to CSV")
-    common(p)
-    p.set_defaults(func=cmd_generate)
+        if name == "sweep-k":
+            p.add_argument(
+                "--k-values", type=lambda s: [int(v) for v in s.split(",")], default=None
+            )
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _check_directory(args.out, "--out")
+        cfg_dict = load_json(args.config)
+        seed, body, csv_out = args.func(cfg_dict, args)
+        if body is not None:
+            _write_report(args.out, {**_report_envelope(cfg_dict, seed), **body})
+        if csv_out is not None:
+            path, rows = csv_out
+            write_rows(path, map(_jsonable, rows))
+        return EXIT_OK
     except ConfigError as exc:
         _emit_error(exc)
         return EXIT_CONFIG

@@ -7,6 +7,7 @@ read; there is no way to express a data-adaptive K.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .data_model import SyntheticSpec
@@ -31,9 +32,9 @@ def _require(d, key, kind, where):
     if key not in d:
         raise ConfigError(f"missing config field {where}{key!r}")
     value = d[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+    if kind is float and _is_number(value):
+        return float(value)
+    if kind is float or not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"config field {where}{key!r} must be {kind.__name__}, got {value!r}")
     return value
 
@@ -45,7 +46,10 @@ def _optional(d, key, kind, default, where):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number other than NaN and the infinities, which Python's json accepts."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_vector(value):
@@ -105,7 +109,7 @@ class PipelineConfig:
             raise ConfigError(f"k_rule.rule must be one of {K_RULES}, got {rule!r}")
         k_params = {key: value for key, value in k_rule_block.items() if key != "rule"}
         for key, value in k_params.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ConfigError(
                     f"k_rule.{key} must be a number fixed ahead of the data, got {value!r}"
                 )
@@ -165,10 +169,9 @@ class PipelineConfig:
         return k_schedule(n, self.k_rule, self.k_params)
 
 
-def synthetic_spec_from_dict(d: dict) -> SyntheticSpec:
-    """Parse the generator block used by generate / validate-theorem / power-study."""
-    if not isinstance(d, dict):
-        raise ConfigError("spec must be a JSON object")
+def synthetic_spec_from_dict(cfg: dict) -> SyntheticSpec:
+    """Parse the ``spec`` block of a generate / validate-theorem / power-study config."""
+    d = _require(cfg, "spec", dict, "")
     family = family_from_name(_require(d, "family", str, "spec."))
     n = _require(d, "n", int, "spec.")
     p = _require(d, "p", int, "spec.")
@@ -197,9 +200,7 @@ def load_study(cfg: dict):
 
     Each method inherits the spec's family unless it names its own.
     """
-    if "spec" not in cfg:
-        raise ConfigError("missing config field 'spec'")
-    spec = synthetic_spec_from_dict(cfg["spec"])
+    spec = synthetic_spec_from_dict(cfg)
     methods_block = cfg.get("methods")
     if not isinstance(methods_block, list) or not methods_block:
         raise ConfigError("missing config field 'methods' (a nonempty list)")

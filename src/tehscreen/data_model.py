@@ -208,13 +208,14 @@ def generate_trial(spec: SyntheticSpec) -> TrialDataset:
 def load_csv(path, outcome_col, treatment_col, adjust_cols=()) -> TrialDataset:
     """Read a trial dataset from an RFC-4180 CSV with a header row.
 
-    Every column other than the outcome, treatment, and adjustment columns
-    becomes an interaction candidate, in file order. Any empty or non-numeric
-    cell is an error naming its (1-based) row and column; non-finite values
-    are rejected the same way.
+    Header names must be unique; a UTF-8 byte-order mark is ignored. Every
+    column other than the outcome, treatment, and adjustment columns becomes
+    an interaction candidate, in file order. Any empty or non-numeric cell is
+    an error naming its (1-based) row and column; non-finite values are
+    rejected the same way.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from None
     with fh:
@@ -226,14 +227,17 @@ def load_csv(path, outcome_col, treatment_col, adjust_cols=()) -> TrialDataset:
         rows = list(reader)
 
     header = [h.strip() for h in header]
+    index = {h: j for j, h in enumerate(header)}
+    if len(index) < len(header):
+        twice = next(h for j, h in enumerate(header) if index[h] != j)
+        raise DataError(f"column {twice!r} is named twice in the header of {path}")
     adjust_cols = list(adjust_cols)
     for col in [outcome_col, treatment_col, *adjust_cols]:
-        if col not in header:
+        if col not in index:
             raise DataError(f"column {col!r} not found in {path} (header: {header})")
     special = {outcome_col, treatment_col, *adjust_cols}
     candidate_names = [h for h in header if h not in special]
 
-    index = {h: j for j, h in enumerate(header)}
     n = len(rows)
     if n == 0:
         raise CsvParseError(f"{path}: no data rows")
@@ -282,18 +286,31 @@ def load_csv(path, outcome_col, treatment_col, adjust_cols=()) -> TrialDataset:
     )
 
 
-def write_csv(data: TrialDataset, path, outcome_col="y", treatment_col="treatment"):
-    """Write a dataset so that load_csv round-trips it bit-for-bit.
+def csv_rows(data: TrialDataset, outcome_col="y", treatment_col="treatment"):
+    """Yield one dict per subject, keyed by CSV header name.
 
-    Floats are serialized with repr(), the shortest string that parses back
-    to the identical double.
+    Values are Python floats (ints for the arm), whose str() is the shortest
+    string that parses back to the identical double.
     """
-    header = [outcome_col, treatment_col, *data.candidate_names, *data.adjust_names]
+    names = [outcome_col, treatment_col, *data.candidate_names, *data.adjust_names]
+    if len(set(names)) < len(names):  # a dict row would silently drop a column
+        raise DataError(f"column names repeat, so the CSV could not be read back: {names}")
+    blocks = zip(data.y.tolist(), data.treatment.tolist(), data.x_candidates, data.x_adjust)
+    for y, t, x, c in blocks:
+        yield dict(zip(names, [y, t, *x.tolist(), *c.tolist()]))
+
+
+def write_rows(path, rows):
+    """Write dict rows as CSV, the first row's keys as the header; ``rows`` may be lazy."""
+    rows = iter(rows)
+    first = next(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [repr(float(data.y[i])), str(int(data.treatment[i]))]
-            row += [repr(float(v)) for v in data.x_candidates[i]]
-            row += [repr(float(v)) for v in data.x_adjust[i]]
-            writer.writerow(row)
+        writer = csv.DictWriter(fh, fieldnames=list(first))
+        writer.writeheader()
+        writer.writerow(first)
+        writer.writerows(rows)
+
+
+def write_csv(data: TrialDataset, path, outcome_col="y", treatment_col="treatment"):
+    """Write a dataset so that load_csv round-trips it bit-for-bit."""
+    write_rows(path, csv_rows(data, outcome_col, treatment_col))

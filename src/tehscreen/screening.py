@@ -75,7 +75,12 @@ def k_schedule(n: int, rule: str, params: dict | None = None) -> int:
             raise ConfigError("power rule needs numeric 'coef' and 'exponent'")
         if coef <= 0 or exponent <= 0:
             raise ConfigError("power rule parameters must be positive")
-        return max(1, math.floor(coef * n**exponent))
+        try:  # float(n): an integer exponent must not start an exact big-integer power
+            return max(1, math.floor(coef * float(n) ** exponent))
+        except (OverflowError, ValueError):  # K overflows, or a NaN reached it
+            raise ConfigError(
+                f"power rule gives no finite K at n={n}: coef={coef!r}, exponent={exponent!r}"
+            ) from None
     if rule == "fixed":
         k = params.get("k")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:

@@ -285,6 +285,8 @@ def _power_with_k_rule(k_rule):
     return {**_POWER, "methods": [{**_POWER["methods"][0], "k_rule": k_rule}]}
 
 
+_NAN, _INF = float("nan"), float("inf")
+
 # every screening sub-block x a value that is not an object
 _BAD_BLOCKS = [(block, value) for block in ("boosting", "lasso", "pca")
                for value in (5, "n_trees", [1])]
@@ -333,6 +335,16 @@ _BAD_DATA = [
        ["--data", "missing.csv"], f"screening.'{block}'") for block, value in _BAD_BLOCKS],
     *[("analyze", minimal_cfg(data=block), ["--data", "missing.csv"], field)
       for _, block, field in _BAD_DATA],
+    # Python's json reads NaN and Infinity; a config number must be finite
+    ("analyze", minimal_cfg(k_rule={"rule": "power", "coef": _NAN, "exponent": 0.5}),
+     ["--data", "missing.csv"], "k_rule.coef"),
+    ("analyze",
+     minimal_cfg(screening={"method": "multi_stage", "boosting": {"ri_threshold": _NAN}}),
+     ["--data", "missing.csv"], "ri_threshold"),
+    ("generate", {"spec": {**_SPEC, "family": "binomial", "intercept": _NAN}}, [], "intercept"),
+    ("generate", {"spec": {**_SPEC, "main_effects": [_INF, 0, 0]}}, [], "main_effects"),
+    ("power-study", _power_with_k_rule({"rule": "power", "coef": 1e308, "exponent": 1}), [],
+     "coef"),
 ], ids=["seed-str", "seed-negative", "seed-flag-negative", "alpha-str", "labels-duplicate",
         "k_rule-power-no-coef", "k_rule-fixed-float",
         "screen_k-str", "screen_k-zero", "main_effects-str", "correlation-str", "null-reps-50",
@@ -340,7 +352,9 @@ _BAD_DATA = [
         "records_csv-true", "records_csv-int", "records_csv-empty", "include_records-str-power",
         "include_records-str-validate", "pvalues_csv-true", "pvalues_csv-empty",
         *[f"screening.{block}-{type(value).__name__}" for block, value in _BAD_BLOCKS],
-        *[f"data.{name}" for name, _, _ in _BAD_DATA]])
+        *[f"data.{name}" for name, _, _ in _BAD_DATA],
+        "k_rule-power-coef-nan", "ri_threshold-nan", "intercept-nan", "main_effects-inf",
+        "k_rule-power-overflow"])
 def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -352,6 +366,27 @@ def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, fiel
     assert err["error"] == "ConfigError"
     assert field in err["message"]
     assert not (tmp_path / "o").exists()  # rejected before any replicate ran
+
+
+@pytest.mark.parametrize("command, cfg, out", [
+    ("analyze", minimal_cfg(null_sim={"reps": 100}), "nodir/r.json"),
+    ("generate", {"spec": _SPEC}, "nodir/t.csv"),
+    ("power-study", {**_POWER, "records_csv": "nodir/rec.csv"}, "o.json"),
+    ("simulate-null", minimal_cfg(null_sim={"reps": 100, "pvalues_csv": "nodir/pv.csv"}),
+     "o.json"),
+], ids=["analyze-out", "generate-out", "records_csv", "pvalues_csv"])
+def test_cli_refuses_an_output_in_a_missing_directory(toy_run, monkeypatch, capsys, command,
+                                                      cfg, out):
+    tmp_path, _, data_path = toy_run
+    monkeypatch.chdir(tmp_path)  # every output path is relative
+    pathlib.Path("out_cfg.json").write_text(json.dumps(cfg))
+    before = sorted(tmp_path.rglob("*"))
+    data = ["--data", str(data_path)] if "family" in cfg else []
+    rc = cli.main([command, "--config", "out_cfg.json", "--out", out, *data])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "'nodir/" in err["message"]
+    assert sorted(tmp_path.rglob("*")) == before  # nothing was written
 
 
 def test_cli_power_study_and_missing_methods(tmp_path, capsys):

@@ -66,6 +66,33 @@ def test_load_csv_constant_treatment(tmp_path):
         ts.load_csv(f, "y", "trt", [])
 
 
+@pytest.mark.parametrize("header, twice", [
+    ("y,trt,y,age", "y"),  # the outcome named twice
+    ("y,trt,age,age", "age"),  # a candidate named twice
+])
+def test_load_csv_rejects_a_repeated_header_name(tmp_path, header, twice):
+    f = tmp_path / "trial.csv"
+    write_lines(f, [header, "1,1,40,3", "2,0,55,4", "3,1,33,5", "4,0,61,6"])
+    with pytest.raises(DataError, match=f"'{twice}' is named twice"):
+        ts.load_csv(f, "y", "trt", [])
+
+
+def test_load_csv_ignores_a_byte_order_mark(tmp_path):
+    f = tmp_path / "trial.csv"
+    f.write_bytes(b"\xef\xbb\xbfy,trt,age\n1.5,1,40\n2.0,0,55\n")
+    d = ts.load_csv(f, "y", "trt", [])
+    assert d.candidate_names == ("age",)
+    assert np.array_equal(d.y, [1.5, 2.0])
+
+
+def test_write_csv_refuses_repeated_column_names(tmp_path):
+    d = ts.generate_trial(ts.SyntheticSpec(n=20, p=2, seed=1))
+    d = d.with_candidates(d.x_candidates, ("y", "x2"))
+    with pytest.raises(DataError, match="repeat"):
+        ts.write_csv(d, tmp_path / "trial.csv")
+    assert not (tmp_path / "trial.csv").exists()
+
+
 def test_load_csv_missing_file():
     with pytest.raises(DataError):
         ts.load_csv("/nonexistent/file.csv", "y", "trt", [])

@@ -1,6 +1,6 @@
-"""Repository hygiene: the README names only paths that exist and the
-dependencies pyproject.toml declares, and every committed scenario parses as
-a power-study config."""
+"""Repository hygiene: the README names only paths that exist, the
+dependencies pyproject.toml declares and the CLI's own subcommands, and every
+committed scenario parses as a power-study config."""
 
 import json
 import pathlib
@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from tehscreen import cli
 from tehscreen.config import load_study
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -50,3 +51,10 @@ def test_readme_dependencies_match_pyproject():
 def test_committed_scenario_parses(path):
     spec, methods = load_study(json.loads(path.read_text(encoding="utf-8")))
     assert spec.p >= 1 and methods
+
+
+def test_readme_names_every_cli_command_and_no_other():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?:^|`)tehscreen ([a-z]+(?:-[a-z]+)*)", text, re.MULTILINE))
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert named == set(subparsers.choices)

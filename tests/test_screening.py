@@ -379,6 +379,10 @@ def test_k_schedule_power_rule():
         ts.k_schedule(400, "fixed", {"k": 0})
     with pytest.raises(ConfigError):
         ts.k_schedule(400, "nope")
+    # K overflows a float: refused, not an OverflowError
+    for params in ({"coef": 2.0, "exponent": 1e6}, {"coef": 1e308, "exponent": 1}):
+        with pytest.raises(ConfigError, match="no finite K"):
+            ts.k_schedule(400, "power", params)
 
 
 # ---------------------------------------------------------------------------

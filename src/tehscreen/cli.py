@@ -9,9 +9,9 @@ Screening method and K cannot be overridden from the command line
 Each subcommand is a handler ``cmd_*(cfg_dict, args) -> (seed, body, csv)``
 that writes nothing. ``body`` is the report beyond the common envelope
 (``None`` when the command writes no report) and ``csv`` is ``None`` or a
-``(path, rows)`` pair, the rows an iterable of dicts. ``main`` checks that the
-directory of ``--out`` exists, reads the config, runs the handler and writes
-every output.
+``(path, rows)`` pair, the rows an iterable of dicts. ``main`` checks that
+``--out`` is not a directory and that its directory exists, reads the config,
+runs the handler and writes every output.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 Errors are emitted as one JSON object on stderr.
@@ -62,12 +62,14 @@ def _write_report(path, payload):
 
 
 def _check_directory(path, field):
-    """Refuse an output path whose directory does not exist, before any work runs."""
+    """Refuse an output path that is a directory or whose directory does not exist."""
     directory = os.path.dirname(path)
     if directory and not os.path.isdir(directory):
         raise ConfigError(
             f"cannot write {path!r} ({field}): directory {directory!r} does not exist"
         )
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path!r} ({field}): it is a directory")
 
 
 def _report_envelope(cfg_dict, seed):
@@ -135,7 +137,7 @@ def cmd_analyze(cfg_dict, args):
             p_corrected=inference.correct_pvalue(test.p_raw, null),
             null_sim_size=null.reps,
         )
-        null_info = {"reps": null.reps, "failures": null.failures, "method": cfg.null_method}
+        null_info = {"reps": null.reps, "failures": len(null.failures), "method": cfg.null_method}
 
     test_block = _jsonable(test)
     return seed, {
@@ -157,6 +159,8 @@ def cmd_sweep_k(cfg_dict, args):
             f"config field 'k_values' must be a nonempty list (or use --k-values), got {k_values!r}"
         )
     k_values = [_int_field("k_values", v, 1) for v in k_values]
+    csv_path = os.path.splitext(args.out)[0] + ".csv"
+    _check_directory(csv_path, "the table CSV beside --out")
 
     seed = _seed(args, cfg.seed)
     data = _load_data(cfg_dict, args.data)
@@ -181,7 +185,7 @@ def cmd_sweep_k(cfg_dict, args):
         "exploratory": "K sweep is exploratory, not a pre-registered analysis",
         "screening": base,
         "table": table,
-    }, (os.path.splitext(args.out)[0] + ".csv", table)
+    }, (csv_path, table)
 
 
 def cmd_simulate_null(cfg_dict, args):
@@ -195,7 +199,7 @@ def cmd_simulate_null(cfg_dict, args):
     body = {
         "null_distribution": {
             "reps": null.reps,
-            "failures": null.failures,
+            "failures": len(null.failures),
             "generator_spec": null.generator_spec,
             "ks_distance_vs_uniform": inference.uniform_ks_distance(null.p_values),
             "fraction_below_0.05": float(np.mean(null.p_values <= 0.05)),

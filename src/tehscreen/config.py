@@ -7,7 +7,7 @@ read; there is no way to express a data-adaptive K.
 """
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .data_model import SyntheticSpec
@@ -21,11 +21,14 @@ K_RULES = ("log", "power", "fixed")
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return cfg
 
 
 def _require(d, key, kind, where):
@@ -46,10 +49,11 @@ def _optional(d, key, kind, default, where):
 
 
 def _is_number(value):
-    """A JSON number other than NaN and the infinities, which Python's json accepts."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON number a double holds: not NaN or an infinity, which Python's json
+    accepts, nor an integer beyond the double range (each compares False here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 def _is_vector(value):
@@ -117,9 +121,7 @@ class PipelineConfig:
         boost = _optional(screening, "boosting", dict, {}, "screening.")
         las = _optional(screening, "lasso", dict, {}, "screening.")
         pca_block = _optional(screening, "pca", dict, {}, "screening.")
-        null_block = d.get("null_sim", {})
-        if not isinstance(null_block, dict):
-            raise ConfigError("null_sim must be an object")
+        null_block = _optional(d, "null_sim", dict, {}, "")
 
         cfg = cls(
             family_name=family_name,

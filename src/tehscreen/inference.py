@@ -54,15 +54,44 @@ class NullDistribution:
     reps: int
     generator_spec: dict
     seed: int
-    failures: int = 0
+    failures: tuple = ()
 
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Replicate-level records plus their summary statistics."""
+    """Replicate-level records, their summary statistics and the failure records."""
 
     records: tuple
     summary: dict
+    failures: tuple = ()
+
+
+def _run_replicates(reps, draw, methods):
+    """The replicate loop of every study: each labelled method on ``draw(r)``, r in order.
+
+    Returns (rows, failures): ``rows[r]`` maps a label to its result, leaving
+    out a method that raised a DataError or NumericalError; ``failures``
+    records each such raise by replicate index, label, exception class and message.
+    """
+    rows, failures = [], []
+    for r in range(reps):
+        x, row = draw(r), {}
+        for label, method in methods.items():
+            try:
+                row[label] = method(x)
+            except (DataError, NumericalError) as exc:
+                failures.append({"replicate": r, "method": label,
+                                 "error": type(exc).__name__, "message": str(exc)})
+        rows.append(row)
+    return rows, failures
+
+
+def _abort_above(share, failures, reps, error, what):
+    """Raise ``error`` when more than ``share`` of ``reps`` failed, naming the first failure."""
+    if len(failures) > share * reps:
+        first = failures[0]
+        raise error(f"{len(failures)}/{reps} {what} replicates failed; first: replicate "
+                    f"{first['replicate']}, {first['error']}: {first['message']}")
 
 
 def test_interaction(
@@ -172,7 +201,7 @@ def simulate_null(
     parametric: outcomes regenerated from the additive fit to the real data
     (treatment effect retained, interactions zero) with freshly permuted arm
     labels each replicate. permutation: labels permuted, outcomes untouched.
-    Replicates failing with a DataError or NumericalError are dropped; over 5% aborts.
+    Failed replicates are dropped and recorded in ``failures``; over 5% aborts.
     """
     family, method = cfg.family, cfg.null_method
     if reps < 100:
@@ -182,27 +211,18 @@ def simulate_null(
     if method == "parametric":
         eta_base, a_A, a_B, sigma = _additive_predictor_parts(data, family)
 
-    def one(r):
+    def draw(r):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         t_new = rng.permutation(data.treatment)
         if method == "permutation":
-            d_rep = data.with_treatment(t_new)
-        else:
-            eta = eta_base + np.where(t_new == 1, a_A, a_B)
-            y_new = family.sample(eta, sigma, rng)
-            d_rep = data.with_outcome(y_new).with_treatment(t_new)
-        try:
-            return run_pipeline(d_rep, cfg)
-        except (DataError, NumericalError) as exc:
-            return exc
+            return data.with_treatment(t_new)
+        eta = eta_base + np.where(t_new == 1, a_A, a_B)
+        y_new = family.sample(eta, sigma, rng)
+        return data.with_outcome(y_new).with_treatment(t_new)
 
-    results = [one(r) for r in range(reps)]
-    pvals = [t.p_raw for t in results if isinstance(t, InteractionTest)]
-    failures = reps - len(pvals)
-    if failures > 0.05 * reps:
-        raise NullSimulationError(
-            f"{failures}/{reps} null replicates failed; distribution unreliable"
-        )
+    rows, failures = _run_replicates(reps, draw, {None: lambda d: run_pipeline(d, cfg).p_raw})
+    _abort_above(0.05, failures, reps, NullSimulationError, "null")
+    pvals = [row[None] for row in rows if row]
     return NullDistribution(
         p_values=np.sort(np.asarray(pvals)),
         reps=len(pvals),
@@ -213,7 +233,7 @@ def simulate_null(
             "pipeline": cfg.label or cfg.method,
         },
         seed=seed,
-        failures=failures,
+        failures=tuple(failures),
     )
 
 
@@ -258,6 +278,8 @@ def validate_theorem(
     loadings of a reference trial drawn from the master seed at an index no
     replicate reaches. Reports the cross-correlation matrix, its
     maximum absolute entry, and the KS distance of the screened p-values.
+    A failed replicate aborts the study once all have run: dropping it would
+    discard the extreme replicates that the check most needs.
     """
     if any(v != 0.0 for v in spec.interaction_effects):
         raise DataError("theorem validation requires an H0 spec (zero interaction effects)")
@@ -269,8 +291,7 @@ def validate_theorem(
         res = compute_pca(ref.x_candidates, standardize=True)
         projection = res.loadings / res.scale[:, None]
 
-    def one(r):
-        d = generate_trial(replace(spec, seed=derive_seed(seed, r)))
+    def one(d):
         if projection is not None:
             names = tuple(f"proj{i + 1}" for i in range(projection.shape[1]))
             d = d.with_candidates(d.x_candidates @ projection, names)
@@ -282,15 +303,14 @@ def validate_theorem(
         p_screened = test_interaction(d, family, screen).p_raw
         return betas, diffs, p_screened
 
-    rows = [one(r) for r in range(reps)]
-    betas = np.vstack([r[0] for r in rows])
-    diffs = np.vstack([r[1] for r in rows])
-    pvals = np.asarray([r[2] for r in rows])
-    corr = _cross_correlation(betas, diffs)
+    rows, failures = _run_replicates(
+        reps, lambda r: generate_trial(replace(spec, seed=derive_seed(seed, r))), {None: one})
+    _abort_above(0.0, failures, reps, NumericalError, "theorem")
+    betas, diffs, pvals = zip(*(row[None] for row in rows))
+    corr = _cross_correlation(np.vstack(betas), np.vstack(diffs))
+    pvals = np.asarray(pvals)
     ks = uniform_ks_distance(pvals)
-    records = tuple(
-        {"replicate": r, "p_screened": float(pvals[r])} for r in range(reps)
-    )
+    records = tuple({"replicate": r, "p_screened": float(p)} for r, p in enumerate(pvals))
     return SimulationReport(
         records=records,
         summary={
@@ -317,6 +337,7 @@ def power_study(
     """Paired rejection rates: every method sees the identical replicate data.
 
     Methods are keyed by label, so every label must be nonempty and distinct.
+    A method that fails on a replicate scores NaN there (no rejection) and is recorded.
     """
     if all(v == 0.0 for v in h1_spec.interaction_effects):
         raise DataError("power study requires nonzero interaction effects")
@@ -324,19 +345,15 @@ def power_study(
     if "" in labels or len(set(labels)) != len(labels):
         raise ConfigError(f"power-study methods need distinct nonempty labels, got {labels}")
 
-    def one(r):
-        d = generate_trial(replace(h1_spec, seed=derive_seed(seed, r)))
-        row = {}
-        for label, cfg in zip(labels, methods):
-            try:
-                row[label] = float(run_pipeline(d, cfg).p_raw)
-            except (DataError, NumericalError):
-                row[label] = np.nan
-        return row
-
-    rows = [one(r) for r in range(reps)]
-    reject = {label: np.asarray([r[label] <= alpha for r in rows], dtype=float) for label in labels}
-    failures = {label: int(sum(np.isnan(r[label]) for r in rows)) for label in labels}
+    rows, failures = _run_replicates(
+        reps,
+        lambda r: generate_trial(replace(h1_spec, seed=derive_seed(seed, r))),
+        {cfg.label: lambda d, cfg=cfg: float(run_pipeline(d, cfg).p_raw) for cfg in methods},
+    )
+    records = tuple({"replicate": r, **{label: row.get(label, np.nan) for label in labels}}
+                    for r, row in enumerate(rows))
+    reject = {label: np.asarray([rec[label] <= alpha for rec in records], dtype=float)
+              for label in labels}
     rates = {label: float(np.mean(reject[label])) for label in labels}
 
     paired = {}
@@ -350,9 +367,6 @@ def power_study(
                 "z": float(np.mean(diff) / se) if se > 0 else np.inf,
             }
 
-    records = tuple(
-        {"replicate": r, **{label: rows[r][label] for label in labels}} for r in range(reps)
-    )
     return SimulationReport(
         records=records,
         summary={
@@ -360,6 +374,7 @@ def power_study(
             "alpha": alpha,
             "rejection_rates": rates,
             "paired_differences": paired,
-            "failures": failures,
+            "failures": {label: sum(f["method"] == label for f in failures) for label in labels},
         },
+        failures=tuple(failures),
     )

@@ -345,6 +345,12 @@ _BAD_DATA = [
     ("generate", {"spec": {**_SPEC, "main_effects": [_INF, 0, 0]}}, [], "main_effects"),
     ("power-study", _power_with_k_rule({"rule": "power", "coef": 1e308, "exponent": 1}), [],
      "coef"),
+    # a config file must hold an object; the message names the file
+    *[(command, 5, argv, "cfg.json") for command, argv in (
+        ("generate", []), ("validate-theorem", []), ("power-study", []),
+        ("analyze", ["--data", "missing.csv"]))],
+    # an integer too large for a double, in a float field
+    ("generate", {"spec": {**_SPEC, "noise_sd": 10**400}}, [], "noise_sd"),
 ], ids=["seed-str", "seed-negative", "seed-flag-negative", "alpha-str", "labels-duplicate",
         "k_rule-power-no-coef", "k_rule-fixed-float",
         "screen_k-str", "screen_k-zero", "main_effects-str", "correlation-str", "null-reps-50",
@@ -354,7 +360,8 @@ _BAD_DATA = [
         *[f"screening.{block}-{type(value).__name__}" for block, value in _BAD_BLOCKS],
         *[f"data.{name}" for name, _, _ in _BAD_DATA],
         "k_rule-power-coef-nan", "ri_threshold-nan", "intercept-nan", "main_effects-inf",
-        "k_rule-power-overflow"])
+        "k_rule-power-overflow", "config-int-generate", "config-int-validate",
+        "config-int-power", "config-int-analyze", "noise_sd-int-overflow"])
 def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -387,6 +394,44 @@ def test_cli_refuses_an_output_in_a_missing_directory(toy_run, monkeypatch, caps
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "'nodir/" in err["message"]
     assert sorted(tmp_path.rglob("*")) == before  # nothing was written
+
+
+@pytest.mark.parametrize("command, cfg, out, directory", [
+    ("generate", {"spec": _SPEC}, "adir", "adir"),
+    ("analyze", minimal_cfg(null_sim={"reps": 100}), "adir", "adir"),
+    ("sweep-k", minimal_cfg(k_values=[1, 2]), "sweep.json", "sweep.csv"),
+], ids=["generate-out", "analyze-out", "sweep-k-csv"])
+def test_cli_refuses_an_output_that_is_a_directory(toy_run, monkeypatch, capsys, command, cfg,
+                                                   out, directory):
+    tmp_path, _, data_path = toy_run
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("dir_cfg.json").write_text(json.dumps(cfg))
+    pathlib.Path(directory).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    data = ["--data", str(data_path)] if "family" in cfg else []
+    rc = cli.main([command, "--config", "dir_cfg.json", "--out", out, *data])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and f"'{directory}'" in err["message"]
+    assert "is a directory" in err["message"]
+    assert sorted(tmp_path.rglob("*")) == before  # nothing was written
+
+
+def test_cli_validate_theorem_names_the_first_failed_replicate(tmp_path, capsys):
+    # Rare binomial events: 6 of 100 replicates fail to fit, the first (r = 1) by
+    # separation. Every replicate runs before the study aborts.
+    cfg = {"spec": {"family": "binomial", "n": 80, "p": 6, "intercept": -2.5,
+                    "main_effects": [0.5, 0.4, 0.3, 0, 0, 0], "treatment_effect": 0.3},
+           "reps": 100, "seed": 3}
+    cfg_path = tmp_path / "v.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "v_report.json"
+    assert cli.main(["validate-theorem", "--config", str(cfg_path), "--out", str(out)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericalError"
+    assert err["message"].startswith(
+        "6/100 theorem replicates failed; first: replicate 1, SeparationError: ")
+    assert not out.exists()
 
 
 def test_cli_power_study_and_missing_methods(tmp_path, capsys):

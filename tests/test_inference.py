@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import tehscreen as ts
 from tehscreen.config import PipelineConfig
-from tehscreen.errors import ConfigError, DataError, NestingError
+from tehscreen.errors import (
+    ConfigError, DataError, NestingError, NullSimulationError, NumericalError,
+)
 from tehscreen.inference import NullDistribution, uniform_ks_distance
 
 
@@ -131,6 +133,32 @@ def test_simulate_null_requires_enough_reps():
         ts.simulate_null(d, pipeline_cfg(), reps=50, seed=1)
 
 
+def _rare_event_spec(seed, n, p, intercept, interaction=0.0):
+    """A binomial trial with a low event rate, where some replicate fits fail."""
+    return ts.SyntheticSpec(
+        n=n, p=p, family=ts.BINOMIAL, intercept=intercept,
+        main_effects=(0.5, 0.4, 0.3) + (0.0,) * (p - 3), treatment_effect=0.3,
+        interaction_effects=(interaction,) + (0.0,) * (p - 1), seed=seed,
+    )
+
+
+def test_simulate_null_drops_and_records_failed_replicates():
+    d = ts.generate_trial(_rare_event_spec(3, n=100, p=3, intercept=-2.0))
+    null = ts.simulate_null(d, pipeline_cfg(k=3, family="binomial"), reps=100, seed=1)
+    # 4 of 100 failed: at or below the 5% abort, so they are dropped and recorded
+    assert [(f["replicate"], f["error"]) for f in null.failures] == [
+        (41, "FitError"), (68, "FitError"), (83, "FitError"), (97, "FitError")]
+    assert all("did not converge" in f["message"] for f in null.failures)
+    assert null.reps == len(null.p_values) == 96
+
+
+def test_simulate_null_abort_names_the_first_failed_replicate():
+    d = ts.generate_trial(_rare_event_spec(3, n=120, p=6, intercept=-2.5))
+    with pytest.raises(NullSimulationError, match=(
+            r"^9/100 null replicates failed; first: replicate 1, SeparationError: ")):
+        ts.simulate_null(d, pipeline_cfg(k=6, family="binomial"), reps=100, seed=1)
+
+
 def _uniform_null(reps, seed=0):
     rng = np.random.default_rng(seed)
     return NullDistribution(
@@ -242,6 +270,25 @@ def test_power_study_replicate_depends_only_on_master_seed_and_index():
     short = ts.power_study(spec, methods, reps=10, seed=31)
     long = ts.power_study(spec, methods, reps=20, seed=31)
     assert short.records == long.records[:10]
+
+
+def test_power_study_scores_a_failed_method_nan_and_records_it():
+    spec = _rare_event_spec(0, n=80, p=6, intercept=-2.5, interaction=0.8)
+    methods = {"one": pipeline_cfg(k=1, family="binomial", label="one"),
+               "all": pipeline_cfg(k=6, family="binomial", label="all")}
+    study = ts.power_study(spec, list(methods.values()), reps=20, seed=1)
+    failed = [(f["replicate"], f["method"], f["error"]) for f in study.failures]
+    assert failed == [(13, "all", "FitError"), (14, "all", "SeparationError"),
+                      (18, "one", "FitError")]
+    assert study.summary["failures"] == {"one": 1, "all": 2}
+    nan_cells = [(rec["replicate"], label) for rec in study.records for label in methods
+                 if np.isnan(rec[label])]
+    assert nan_cells == [(r, label) for r, label, _ in failed]
+    for r, label, error in failed:  # the same replicate run on its own fails the same way
+        d = ts.generate_trial(replace(spec, seed=ts.derive_seed(1, r)))
+        with pytest.raises(NumericalError) as info:
+            ts.run_pipeline(d, methods[label])
+        assert type(info.value).__name__ == error
 
 
 def test_h0_rejection_rate_full_model_screen():

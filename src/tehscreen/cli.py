@@ -6,8 +6,11 @@ library version, so rerunning from a report's config reproduces all numbers.
 Screening method and K cannot be overridden from the command line
 (pre-registration integrity); the seed can.
 
-Each subcommand is a handler ``cmd_*(cfg_dict, args) -> (seed, body, csv)``
-that writes nothing. ``body`` is the report beyond the common envelope
+``config.py`` reads, defaults and checks every config field, and the
+``--seed`` and ``--k-values`` flags by the rules of the fields they replace.
+This module keeps argv, the output-path checks, dispatch, writing and exit
+codes. Each subcommand is a handler ``cmd_*(cfg_dict, args) -> (seed, body,
+csv)`` that writes nothing. ``body`` is the report beyond the common envelope
 (``None`` when the command writes no report) and ``csv`` is ``None`` or a
 ``(path, rows)`` pair, the rows an iterable of dicts. ``main`` checks that
 ``--out`` is not a directory and that its directory exists, reads the config,
@@ -28,7 +31,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, inference
-from .config import PipelineConfig, _optional, load_json, load_study, synthetic_spec_from_dict
+from .config import (
+    PipelineConfig, data_columns, load_json, null_config, power_config, sweep_config,
+    synthetic_spec_from_dict, theorem_config,
+)
 from .data_model import csv_rows, generate_trial, load_csv, write_rows
 from .errors import ConfigError, DataError, TehScreenError
 
@@ -82,56 +88,14 @@ def _report_envelope(cfg_dict, seed):
     }
 
 
-def _load_data(cfg_dict, data_path):
-    """Read the CSV named on the command line with the config's ``data`` roles.
-
-    Each column may fill at most one role: outcome, treatment or adjuster.
-    """
-    block = _optional(cfg_dict, "data", dict, {}, "")
-    outcome = _optional(block, "outcome_col", str, "y", "data.")
-    treatment = _optional(block, "treatment_col", str, "treatment", "data.")
-    adjust = _optional(block, "adjust_cols", list, [], "data.")
-    if not all(isinstance(col, str) for col in adjust):
-        raise ConfigError(
-            f"config field data.'adjust_cols' must be a list of strings, got {adjust!r}"
-        )
-    roles = [outcome, treatment, *adjust]
-    for i, col in enumerate(roles):
-        if col in roles[:i]:
-            raise ConfigError(f"column {col!r} is named twice in the data block")
-    return load_csv(data_path, outcome_col=outcome, treatment_col=treatment, adjust_cols=adjust)
-
-
-def _int_field(name, value, minimum):
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"config field {name!r} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _csv_target(block, key, where=""):
-    """An optional CSV output path: absent, or a nonempty string in an existing directory."""
-    target = _optional(block, key, str, None, where)
-    if target == "":
-        raise ConfigError(f"config field {where}{key!r} must be a nonempty file path")
-    if target is not None:
-        _check_directory(target, f"config field {where}{key!r}")
-    return target
-
-
-def _seed(args, default):
-    """The master seed: --seed when given, else the config's ``default``."""
-    return _int_field("seed", default if args.seed is None else args.seed, 0)
-
-
 def cmd_analyze(cfg_dict, args):
-    cfg = PipelineConfig.from_dict(cfg_dict)
-    seed = _seed(args, cfg.seed)
-    data = _load_data(cfg_dict, args.data)
+    cfg = PipelineConfig.from_dict(cfg_dict, args.seed)
+    data = load_csv(args.data, **data_columns(cfg_dict))
     test = inference.run_pipeline(data, cfg)
 
     null_info = None
     if cfg.null_reps > 0:
-        null = inference.simulate_null(data, cfg, reps=cfg.null_reps, seed=seed)
+        null = inference.simulate_null(data, cfg, cfg.seed)
         test = dataclasses.replace(
             test,
             p_corrected=inference.correct_pvalue(test.p_raw, null),
@@ -140,7 +104,7 @@ def cmd_analyze(cfg_dict, args):
         null_info = {"reps": null.reps, "failures": len(null.failures), "method": cfg.null_method}
 
     test_block = _jsonable(test)
-    return seed, {
+    return cfg.seed, {
         "n": data.n, "p": data.p, "p_c": data.p_c,
         "k": cfg.resolve_k(data.n),
         "screening": test_block.pop("screening"),
@@ -150,20 +114,11 @@ def cmd_analyze(cfg_dict, args):
 
 
 def cmd_sweep_k(cfg_dict, args):
-    cfg = PipelineConfig.from_dict(cfg_dict)
-    if cfg.method == "irm":
-        raise ConfigError("sweep-k does not apply to the K=1 internal-risk-model screen")
-    k_values = args.k_values or cfg_dict.get("k_values")
-    if not isinstance(k_values, list) or not k_values:
-        raise ConfigError(
-            f"config field 'k_values' must be a nonempty list (or use --k-values), got {k_values!r}"
-        )
-    k_values = [_int_field("k_values", v, 1) for v in k_values]
+    cfg, k_values = sweep_config(cfg_dict, args.seed, args.k_values)
     csv_path = os.path.splitext(args.out)[0] + ".csv"
     _check_directory(csv_path, "the table CSV beside --out")
 
-    seed = _seed(args, cfg.seed)
-    data = _load_data(cfg_dict, args.data)
+    data = load_csv(args.data, **data_columns(cfg_dict))
     if max(k_values) > data.p:
         raise ConfigError(f"k_values must lie in 1..p={data.p}")
 
@@ -180,7 +135,7 @@ def cmd_sweep_k(cfg_dict, args):
             }
         )
 
-    return seed, {
+    return cfg.seed, {
         "n": data.n, "p": data.p,
         "exploratory": "K sweep is exploratory, not a pre-registered analysis",
         "screening": base,
@@ -189,13 +144,11 @@ def cmd_sweep_k(cfg_dict, args):
 
 
 def cmd_simulate_null(cfg_dict, args):
-    cfg = PipelineConfig.from_dict(cfg_dict)
-    if cfg.null_reps == 0:
-        raise ConfigError("null_sim.reps must be >= 100 for simulate-null")
-    seed = _seed(args, cfg.seed)
-    csv_target = _csv_target(cfg_dict.get("null_sim", {}), "pvalues_csv", "null_sim.")
-    data = _load_data(cfg_dict, args.data)
-    null = inference.simulate_null(data, cfg, reps=cfg.null_reps, seed=seed)
+    cfg, csv_target = null_config(cfg_dict, args.seed)
+    if csv_target is not None:
+        _check_directory(csv_target, "config field null_sim.'pvalues_csv'")
+    data = load_csv(args.data, **data_columns(cfg_dict))
+    null = inference.simulate_null(data, cfg, cfg.seed)
     body = {
         "null_distribution": {
             "reps": null.reps,
@@ -207,52 +160,33 @@ def cmd_simulate_null(cfg_dict, args):
         }
     }
     rows = [{"p_raw": p} for p in null.p_values]
-    return seed, body, None if csv_target is None else (csv_target, rows)
+    return cfg.seed, body, None if csv_target is None else (csv_target, rows)
 
 
 def cmd_validate_theorem(cfg_dict, args):
-    spec = synthetic_spec_from_dict(cfg_dict)
-    reps = _int_field("reps", cfg_dict.get("reps", 2000), 100)
-    seed = _seed(args, cfg_dict.get("seed", 0))
-    proj_kind = cfg_dict.get("projection")
-    if proj_kind not in (None, "none", "pca"):
-        raise ConfigError(f"projection must be null or 'pca', got {proj_kind!r}")
-    screen_k = cfg_dict.get("screen_k")
-    if screen_k is not None:
-        _int_field("screen_k", screen_k, 1)
-    include_records = _optional(cfg_dict, "include_records", bool, False, "")
-
-    report_obj = inference.validate_theorem(
-        spec, reps=reps, seed=seed, projected=proj_kind == "pca", screen_k=screen_k
-    )
+    study, include_records = theorem_config(cfg_dict, args.seed)
+    report_obj = inference.validate_theorem(**study)
     body = {"summary": report_obj.summary}
     if include_records:
         body["records"] = report_obj.records
-    return seed, body, None
+    return study["seed"], body, None
 
 
 def cmd_power_study(cfg_dict, args):
-    spec, methods = load_study(cfg_dict)
-    reps = _int_field("reps", cfg_dict.get("reps", 1000), 10)
-    alpha = cfg_dict.get("alpha", 0.05)
-    if not isinstance(alpha, float) or not 0.0 < alpha < 1.0:
-        raise ConfigError(f"config field 'alpha' must be a number in (0, 1), got {alpha!r}")
-    seed = _seed(args, cfg_dict.get("seed", 0))
-    include_records = _optional(cfg_dict, "include_records", bool, False, "")
-    csv_target = _csv_target(cfg_dict, "records_csv")
+    study, include_records, csv_target = power_config(cfg_dict, args.seed)
+    if csv_target is not None:
+        _check_directory(csv_target, "config field 'records_csv'")
 
-    study = inference.power_study(spec, methods, reps=reps, seed=seed, alpha=alpha)
-    body = {"summary": study.summary}
+    result = inference.power_study(**study)
+    body = {"summary": result.summary}
     if include_records:
-        body["records"] = study.records
-    return seed, body, None if csv_target is None else (csv_target, study.records)
+        body["records"] = result.records
+    return study["seed"], body, None if csv_target is None else (csv_target, result.records)
 
 
 def cmd_generate(cfg_dict, args):
-    spec = synthetic_spec_from_dict(cfg_dict)
-    seed = _seed(args, spec.seed)
-    data = generate_trial(dataclasses.replace(spec, seed=seed))
-    return seed, None, (args.out, csv_rows(data))
+    spec = synthetic_spec_from_dict(cfg_dict, args.seed)
+    return spec.seed, None, (args.out, csv_rows(generate_trial(spec)))
 
 
 def _build_parser():

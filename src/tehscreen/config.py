@@ -4,6 +4,11 @@ Config files are JSON. The parsed dict is kept verbatim and embedded in
 every report so a run can be reproduced from its own output. K comes from a
 deterministic rule on n (log / power / fixed) resolved before any data is
 read; there is no way to express a data-adaptive K.
+
+This module alone reads, defaults and checks the config's keys, each once,
+before any data is read; the ``--seed`` and ``--k-values`` flags obey the
+rules of the fields they replace. ``cli.py`` keeps argv, the output-path
+checks, dispatch, writing and exit codes.
 """
 
 import json
@@ -11,8 +16,9 @@ import sys
 from dataclasses import dataclass
 
 from .data_model import SyntheticSpec
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .families import Family, family_from_name
+from .screening import k_schedule
 
 SCREENING_METHODS = ("full_model", "univariate", "lasso", "pca", "multi_stage", "irm")
 K_RULES = ("log", "power", "fixed")
@@ -31,21 +37,48 @@ def load_json(path):
     return cfg
 
 
-def _require(d, key, kind, where):
+def _require(d, key, kind, where, minimum=None):
     if key not in d:
         raise ConfigError(f"missing config field {where}{key!r}")
-    value = d[key]
+    return _check(d[key], kind, f"config field {where}{key!r}", minimum)
+
+
+def _optional(d, key, kind, default, where, minimum=None):
+    if key not in d:
+        return default
+    return _require(d, key, kind, where, minimum)
+
+
+def _check(value, kind, name, minimum=None):
+    """``value`` as ``kind`` (a float field takes any number a double holds), >= ``minimum``."""
     if kind is float and _is_number(value):
-        return float(value)
-    if kind is float or not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"config field {where}{key!r} must be {kind.__name__}, got {value!r}")
+        value = float(value)
+    elif kind is float or not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
     return value
 
 
-def _optional(d, key, kind, default, where):
-    if key not in d:
-        return default
-    return _require(d, key, kind, where)
+def _choice(d, key, choices, where, default=None):
+    value = _optional(d, key, str, default, where) if default else _require(d, key, str, where)
+    if value not in choices:
+        raise ConfigError(f"{where}{key} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _seed(d, where, flag):
+    """The ``--seed`` flag when given, else the config's ``seed``; each an integer >= 0."""
+    seed = _optional(d, "seed", int, 0, where, minimum=0)
+    return seed if flag is None else _check(flag, int, "--seed", minimum=0)
+
+
+def _csv_path(d, key, where):
+    """An optional CSV output path: absent (None) or a nonempty string."""
+    path = _optional(d, key, str, None, where)
+    if path == "":
+        raise ConfigError(f"config field {where}{key!r} must be a nonempty file path")
+    return path
 
 
 def _is_number(value):
@@ -60,57 +93,37 @@ def _is_vector(value):
     return isinstance(value, list) and all(map(_is_number, value))
 
 
-def _vector(d, key, where):
-    value = d.get(key, [])
-    if not _is_vector(value):
-        raise ConfigError(f"config field {where}{key!r} must be a list of numbers, got {value!r}")
-    return tuple(value)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything needed to run Stage-1 + Stage-2 on one dataset."""
+    """Everything needed to run Stage-1 + Stage-2 on one dataset; built by ``from_dict``."""
 
-    family_name: str
+    family: Family
     method: str
     k_rule: str
     k_params: dict
-    supervised_pc: bool = False
-    ml: str = "boosting"
-    pc_rank: str = "variance"
-    include_treatment: bool = True
-    n_trees: int = 500
-    shrinkage: float = 0.05
-    ri_threshold: float = 1.0
-    n_lambda: int = 100
-    pca_standardize: bool = True
-    null_reps: int = 0
-    null_method: str = "parametric"
-    seed: int = 0
-    label: str = ""
-
-    @property
-    def family(self) -> Family:
-        return family_from_name(self.family_name)
+    supervised_pc: bool
+    ml: str
+    pc_rank: str
+    include_treatment: bool
+    n_trees: int
+    shrinkage: float
+    ri_threshold: float
+    n_lambda: int
+    pca_standardize: bool
+    null_reps: int
+    null_method: str
+    seed: int
+    label: str
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("pipeline config must be a JSON object")
-        family_name = _require(d, "family", str, "")
-        family_from_name(family_name)  # validate early
-
+    def from_dict(cls, d: dict, seed: int | None = None) -> "PipelineConfig":
+        """Parse a pipeline config; ``seed`` is the ``--seed`` flag, if one was given."""
+        family = family_from_name(_require(d, "family", str, ""))
         screening = _require(d, "screening", dict, "")
-        method = _require(screening, "method", str, "screening.")
-        if method not in SCREENING_METHODS:
-            raise ConfigError(
-                f"screening.method must be one of {SCREENING_METHODS}, got {method!r}"
-            )
+        method = _choice(screening, "method", SCREENING_METHODS, "screening.")
 
         k_rule_block = _require(d, "k_rule", dict, "")
-        rule = _require(k_rule_block, "rule", str, "k_rule.")
-        if rule not in K_RULES:
-            raise ConfigError(f"k_rule.rule must be one of {K_RULES}, got {rule!r}")
+        rule = _choice(k_rule_block, "rule", K_RULES, "k_rule.")
         k_params = {key: value for key, value in k_rule_block.items() if key != "rule"}
         for key, value in k_params.items():
             if not _is_number(value):
@@ -124,83 +137,112 @@ class PipelineConfig:
         null_block = _optional(d, "null_sim", dict, {}, "")
 
         cfg = cls(
-            family_name=family_name,
+            family=family,
             method=method,
             k_rule=rule,
             k_params=k_params,
             supervised_pc=_optional(screening, "supervised", bool, False, "screening."),
-            ml=_optional(screening, "ml", str, "boosting", "screening."),
-            pc_rank=_optional(screening, "pc_rank", str, "variance", "screening."),
+            ml=_choice(screening, "ml", ("boosting", "lasso"), "screening.", "boosting"),
+            pc_rank=_choice(
+                screening, "pc_rank", ("variance", "supervised"), "screening.", "variance"
+            ),
             include_treatment=_optional(
                 screening, "include_treatment", bool, True, "screening."
             ),
-            n_trees=_optional(boost, "n_trees", int, 500, "screening.boosting."),
+            n_trees=_optional(boost, "n_trees", int, 500, "screening.boosting.", minimum=1),
             shrinkage=_optional(boost, "shrinkage", float, 0.05, "screening.boosting."),
-            ri_threshold=_optional(boost, "ri_threshold", float, 1.0, "screening.boosting."),
-            n_lambda=_optional(las, "n_lambda", int, 100, "screening.lasso."),
+            ri_threshold=_optional(
+                boost, "ri_threshold", float, 1.0, "screening.boosting.", minimum=0.0
+            ),
+            n_lambda=_optional(las, "n_lambda", int, 100, "screening.lasso.", minimum=2),
             pca_standardize=_optional(pca_block, "standardize", bool, True, "screening.pca."),
             null_reps=_optional(null_block, "reps", int, 0, "null_sim."),
-            null_method=_optional(null_block, "method", str, "parametric", "null_sim."),
-            seed=_optional(d, "seed", int, 0, ""),
+            null_method=_choice(
+                null_block, "method", ("parametric", "permutation"), "null_sim.", "parametric"
+            ),
+            seed=_seed(d, "", seed),
             label=_optional(d, "label", str, method, ""),
         )
-        if cfg.ml not in ("boosting", "lasso"):
-            raise ConfigError(f"screening.ml must be boosting or lasso, got {cfg.ml!r}")
-        if cfg.pc_rank not in ("variance", "supervised"):
-            raise ConfigError(f"screening.pc_rank must be variance or supervised, got {cfg.pc_rank!r}")
-        if cfg.null_method not in ("parametric", "permutation"):
-            raise ConfigError(
-                f"null_sim.method must be parametric or permutation, got {cfg.null_method!r}"
-            )
         if cfg.null_reps != 0 and cfg.null_reps < 100:
             raise ConfigError(f"null_sim.reps must be 0 (no null) or >= 100, got {cfg.null_reps}")
-        if cfg.n_trees < 1:
-            raise ConfigError("screening.boosting.n_trees must be >= 1")
         if not 0.0 < cfg.shrinkage <= 1.0:
             raise ConfigError("screening.boosting.shrinkage must be in (0, 1]")
-        if cfg.ri_threshold < 0.0:
-            raise ConfigError("screening.boosting.ri_threshold must be >= 0")
-        if cfg.n_lambda < 2:
-            raise ConfigError("screening.lasso.n_lambda must be >= 2")
         cfg.resolve_k(1)  # the rule's own parameter checks, before any data is read
         return cfg
 
     def resolve_k(self, n: int) -> int:
-        from .screening import k_schedule
-
         return k_schedule(n, self.k_rule, self.k_params)
 
 
-def synthetic_spec_from_dict(cfg: dict) -> SyntheticSpec:
-    """Parse the ``spec`` block of a generate / validate-theorem / power-study config."""
-    d = _require(cfg, "spec", dict, "")
-    family = family_from_name(_require(d, "family", str, "spec."))
-    n = _require(d, "n", int, "spec.")
-    p = _require(d, "p", int, "spec.")
-    rho = d.get("covariate_correlation", 0.0)
-    if not (_is_number(rho) or isinstance(rho, list) and all(map(_is_vector, rho))):
+def data_columns(cfg: dict) -> dict:
+    """``load_csv``'s column roles from the ``data`` block; a column fills at most one role."""
+    block = _optional(cfg, "data", dict, {}, "")
+    outcome = _optional(block, "outcome_col", str, "y", "data.")
+    treatment = _optional(block, "treatment_col", str, "treatment", "data.")
+    adjust = [_check(col, str, "config field data.'adjust_cols'")
+              for col in _optional(block, "adjust_cols", list, [], "data.")]
+    roles = [outcome, treatment, *adjust]
+    for i, col in enumerate(roles):
+        if col in roles[:i]:
+            raise ConfigError(f"column {col!r} is named twice in the data block")
+    return {"outcome_col": outcome, "treatment_col": treatment, "adjust_cols": adjust}
+
+
+def sweep_config(d: dict, seed=None, k_values=None):
+    """Parse a sweep-k config: (PipelineConfig, K values); ``k_values`` is ``--k-values``."""
+    cfg = PipelineConfig.from_dict(d, seed)
+    if cfg.method == "irm":
+        raise ConfigError("sweep-k does not apply to the K=1 internal-risk-model screen")
+    k_values = d.get("k_values") if k_values is None else k_values
+    if not isinstance(k_values, list) or not k_values:
         raise ConfigError(
-            f"config field spec.'covariate_correlation' must be a number or a matrix, got {rho!r}"
+            f"config field 'k_values' must be a nonempty list (or use --k-values), got {k_values!r}"
         )
-    return SyntheticSpec(
-        n=n,
-        p=p,
-        family=family,
-        intercept=_optional(d, "intercept", float, 0.0, "spec."),
-        main_effects=_vector(d, "main_effects", "spec."),
-        treatment_effect=_optional(d, "treatment_effect", float, 0.0, "spec."),
-        interaction_effects=_vector(d, "interaction_effects", "spec."),
-        adjust_effects=_vector(d, "adjust_effects", "spec."),
-        covariate_correlation=rho,
-        noise_sd=_optional(d, "noise_sd", float, 1.0, "spec."),
-        seed=_optional(d, "seed", int, 0, "spec."),
-    )
+    return cfg, [_check(k, int, "config field 'k_values'", minimum=1) for k in k_values]
+
+
+def null_config(d: dict, seed=None):
+    """Parse a simulate-null config: (PipelineConfig, ``null_sim.pvalues_csv`` or None)."""
+    cfg = PipelineConfig.from_dict(d, seed)
+    if cfg.null_reps == 0:
+        raise ConfigError("null_sim.reps must be >= 100 for simulate-null")
+    return cfg, _csv_path(d["null_sim"], "pvalues_csv", "null_sim.")
+
+
+def synthetic_spec_from_dict(cfg: dict, seed=None) -> SyntheticSpec:
+    """Parse the ``spec`` block of a generate / validate-theorem / power-study config.
+
+    ``seed`` is generate's ``--seed`` flag. An absent field takes ``SyntheticSpec``'s
+    default, and a spec that it refuses is a config error naming ``spec``.
+    """
+    d = _require(cfg, "spec", dict, "")
+    fields = {
+        "family": family_from_name(_require(d, "family", str, "spec.")),
+        "n": _require(d, "n", int, "spec."),
+        "p": _require(d, "p", int, "spec."),
+    }
+    if "covariate_correlation" in d:
+        rho = fields["covariate_correlation"] = d["covariate_correlation"]
+        if not (_is_number(rho) or isinstance(rho, list) and all(map(_is_vector, rho))):
+            raise ConfigError(f"config field spec.'covariate_correlation' must be a number or "
+                              f"a matrix, got {rho!r}")
+    for key in ("intercept", "treatment_effect", "noise_sd"):
+        if key in d:
+            fields[key] = _require(d, key, float, "spec.")
+    for key in ("main_effects", "interaction_effects", "adjust_effects"):
+        if key in d:
+            name = f"config field spec.{key!r}"
+            fields[key] = [_check(v, float, name) for v in _require(d, key, list, "spec.")]
+    try:
+        return SyntheticSpec(seed=_seed(d, "spec.", seed), **fields)
+    except DataError as exc:
+        raise ConfigError(f"config field 'spec': {exc}") from None
 
 
 def load_study(cfg: dict):
     """Parse a power-study config: (synthetic spec, [PipelineConfig per method]).
 
-    Each method inherits the spec's family unless it names its own.
+    Each method inherits the spec's family unless it names its own, and asks for no null.
     """
     spec = synthetic_spec_from_dict(cfg)
     methods_block = cfg.get("methods")
@@ -210,7 +252,36 @@ def load_study(cfg: dict):
     for i, m in enumerate(methods_block):
         if not isinstance(m, dict):
             raise ConfigError(f"methods[{i}] must be an object")
-        entry = dict(m)
-        entry.setdefault("family", cfg["spec"].get("family"))
-        methods.append(PipelineConfig.from_dict(entry))
+        method = PipelineConfig.from_dict({"family": cfg["spec"]["family"], **m})
+        if method.null_reps:
+            raise ConfigError(f"methods[{i}]: null_sim.reps must be 0, since power-study "
+                              "runs no null per replicate")
+        methods.append(method)
     return spec, methods
+
+
+def theorem_config(d: dict, seed=None):
+    """Parse a validate-theorem config: (``validate_theorem`` arguments, include_records)."""
+    study = {"spec": synthetic_spec_from_dict(d),
+             "reps": _optional(d, "reps", int, 2000, "", minimum=100),
+             "seed": _seed(d, "", seed), "projected": d.get("projection") == "pca"}
+    if d.get("projection") not in (None, "none", "pca"):
+        raise ConfigError(f"projection must be null or 'pca', got {d['projection']!r}")
+    if d.get("screen_k") is not None:  # null or absent: validate_theorem's min(3, p)
+        study["screen_k"] = _require(d, "screen_k", int, "", minimum=1)
+    return study, _optional(d, "include_records", bool, False, "")
+
+
+def power_config(d: dict, seed=None):
+    """Parse a power-study config: (``power_study`` arguments, include_records, records_csv)."""
+    spec, methods = load_study(d)
+    study = {"h1_spec": spec, "methods": methods,
+             "reps": _optional(d, "reps", int, 1000, "", minimum=10)}
+    if "alpha" in d:  # absent: power_study's default
+        study["alpha"] = _require(d, "alpha", float, "")
+        if not 0.0 < study["alpha"] < 1.0:
+            raise ConfigError(
+                f"config field 'alpha' must be a number in (0, 1), got {study['alpha']!r}")
+    study["seed"] = _seed(d, "", seed)
+    include_records = _optional(d, "include_records", bool, False, "")
+    return study, include_records, _csv_path(d, "records_csv", "")

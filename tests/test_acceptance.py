@@ -159,9 +159,12 @@ def test_criterion_6_chi_square_miscalibration_and_correction():
         treatment_effect=0.4, seed=3001,
     )
     base = ts.generate_trial(spec)
-    cfg = fixed_cfg("full_model", k=25, family="binomial")
-    null_a = ts.simulate_null(base, cfg, reps=1000, seed=951)
-    null_b = ts.simulate_null(base, cfg, reps=1000, seed=952)
+    cfg = PipelineConfig.from_dict({
+        "family": "binomial", "screening": {"method": "full_model"},
+        "k_rule": {"rule": "fixed", "k": 25}, "null_sim": {"reps": 1000},
+    })
+    null_a = ts.simulate_null(base, cfg, seed=951)
+    null_b = ts.simulate_null(base, cfg, seed=952)
     raw_rejection = float(np.mean(null_a.p_values <= 0.05))
     corrected = np.array([ts.correct_pvalue(p, null_b) for p in null_a.p_values])
     ks = uniform_ks_distance(corrected)

@@ -351,6 +351,22 @@ _BAD_DATA = [
         ("analyze", ["--data", "missing.csv"]))],
     # an integer too large for a double, in a float field
     ("generate", {"spec": {**_SPEC, "noise_sd": 10**400}}, [], "noise_sd"),
+    # a spec that SyntheticSpec refuses is a config error, not a data error
+    ("generate", {"spec": {**_SPEC, "n": 3}}, [], "spec"),
+    ("generate", {"spec": {**_SPEC, "p": 0}}, [], "spec"),
+    ("generate", {"spec": {**_SPEC, "main_effects": [0.5, 0.2]}}, [], "spec"),
+    ("power-study", {**_POWER, "spec": {**_POWER["spec"], "main_effects": [0.5]}}, [], "spec"),
+    ("power-study", {**_POWER, "spec": {**_POWER["spec"], "interaction_effects": [0.6]}}, [],
+     "spec"),
+    ("validate-theorem", {**_VALIDATE, "spec": {**_SPEC, "noise_sd": 0}}, [], "spec"),
+    # power-study runs no null per replicate, so a method may not ask for one
+    ("power-study", {**_POWER, "methods": [{**_POWER["methods"][0], "null_sim": {"reps": 100}}]},
+     [], "methods[0]"),
+    # simulate-null needs a null, refused before the data is read
+    ("simulate-null", minimal_cfg(null_sim={"reps": 0}), ["--data", "missing.csv"],
+     "null_sim.reps"),
+    # the config's seed obeys its rule even when --seed replaces it
+    ("analyze", minimal_cfg(seed=-1), ["--data", "missing.csv", "--seed", "3"], "seed"),
 ], ids=["seed-str", "seed-negative", "seed-flag-negative", "alpha-str", "labels-duplicate",
         "k_rule-power-no-coef", "k_rule-fixed-float",
         "screen_k-str", "screen_k-zero", "main_effects-str", "correlation-str", "null-reps-50",
@@ -361,7 +377,10 @@ _BAD_DATA = [
         *[f"data.{name}" for name, _, _ in _BAD_DATA],
         "k_rule-power-coef-nan", "ri_threshold-nan", "intercept-nan", "main_effects-inf",
         "k_rule-power-overflow", "config-int-generate", "config-int-validate",
-        "config-int-power", "config-int-analyze", "noise_sd-int-overflow"])
+        "config-int-power", "config-int-analyze", "noise_sd-int-overflow",
+        "spec-n-small", "spec-p-zero", "spec-main_effects-length-generate",
+        "spec-main_effects-length-power", "spec-interaction_effects-length", "spec-noise_sd-zero",
+        "methods-null-reps", "null-reps-0-simulate", "seed-negative-with-flag"])
 def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -105,32 +105,26 @@ def test_interaction_refuses_fits_that_keep_different_additive_columns(monkeypat
 
 def test_simulate_null_deterministic():
     d = h0_data(11)
-    cfg = pipeline_cfg()
-    a = ts.simulate_null(d, cfg, reps=100, seed=42)
-    b = ts.simulate_null(d, cfg, reps=100, seed=42)
+    cfg = pipeline_cfg(null_sim={"reps": 100})
+    a = ts.simulate_null(d, cfg, seed=42)
+    b = ts.simulate_null(d, cfg, seed=42)
     assert np.array_equal(a.p_values, b.p_values)
     assert a.reps == 100
 
 
 def test_simulate_null_gaussian_uniform():
     d = h0_data(13, n=500, p=4, main=(0.8, 0.4, 0.2, 0.0))
-    cfg = pipeline_cfg(k=2)
-    null = ts.simulate_null(d, cfg, reps=1000, seed=77)
+    cfg = pipeline_cfg(k=2, null_sim={"reps": 1000})
+    null = ts.simulate_null(d, cfg, seed=77)
     assert uniform_ks_distance(null.p_values) < 0.05
 
 
 def test_simulate_null_permutation_variant():
     d = h0_data(14, n=300)
-    cfg = pipeline_cfg(k=2, null_sim={"method": "permutation"})
-    null = ts.simulate_null(d, cfg, reps=300, seed=5)
+    cfg = pipeline_cfg(k=2, null_sim={"reps": 300, "method": "permutation"})
+    null = ts.simulate_null(d, cfg, seed=5)
     assert null.generator_spec["method"] == "permutation"
     assert uniform_ks_distance(null.p_values) < 0.1
-
-
-def test_simulate_null_requires_enough_reps():
-    d = h0_data(15)
-    with pytest.raises(DataError):
-        ts.simulate_null(d, pipeline_cfg(), reps=50, seed=1)
 
 
 def _rare_event_spec(seed, n, p, intercept, interaction=0.0):
@@ -144,7 +138,8 @@ def _rare_event_spec(seed, n, p, intercept, interaction=0.0):
 
 def test_simulate_null_drops_and_records_failed_replicates():
     d = ts.generate_trial(_rare_event_spec(3, n=100, p=3, intercept=-2.0))
-    null = ts.simulate_null(d, pipeline_cfg(k=3, family="binomial"), reps=100, seed=1)
+    null = ts.simulate_null(d, pipeline_cfg(k=3, family="binomial", null_sim={"reps": 100}),
+                            seed=1)
     # 4 of 100 failed: at or below the 5% abort, so they are dropped and recorded
     assert [(f["replicate"], f["error"]) for f in null.failures] == [
         (41, "FitError"), (68, "FitError"), (83, "FitError"), (97, "FitError")]
@@ -156,7 +151,8 @@ def test_simulate_null_abort_names_the_first_failed_replicate():
     d = ts.generate_trial(_rare_event_spec(3, n=120, p=6, intercept=-2.5))
     with pytest.raises(NullSimulationError, match=(
             r"^9/100 null replicates failed; first: replicate 1, SeparationError: ")):
-        ts.simulate_null(d, pipeline_cfg(k=6, family="binomial"), reps=100, seed=1)
+        ts.simulate_null(d, pipeline_cfg(k=6, family="binomial", null_sim={"reps": 100}),
+                         seed=1)
 
 
 def _uniform_null(reps, seed=0):

@@ -245,6 +245,9 @@ def load_study(cfg: dict):
     Each method inherits the spec's family unless it names its own, and asks for no null.
     """
     spec = synthetic_spec_from_dict(cfg)
+    if not any(spec.interaction_effects):
+        raise ConfigError("config field spec.'interaction_effects' must hold a nonzero effect: "
+                          "power-study draws its trials under H1")
     methods_block = cfg.get("methods")
     if not isinstance(methods_block, list) or not methods_block:
         raise ConfigError("missing config field 'methods' (a nonempty list)")
@@ -252,10 +255,13 @@ def load_study(cfg: dict):
     for i, m in enumerate(methods_block):
         if not isinstance(m, dict):
             raise ConfigError(f"methods[{i}] must be an object")
-        method = PipelineConfig.from_dict({"family": cfg["spec"]["family"], **m})
-        if method.null_reps:
-            raise ConfigError(f"methods[{i}]: null_sim.reps must be 0, since power-study "
-                              "runs no null per replicate")
+        try:
+            method = PipelineConfig.from_dict({"family": cfg["spec"]["family"], **m})
+            if method.null_reps:
+                raise ConfigError("null_sim.reps must be 0, since power-study runs no null "
+                                  "per replicate")
+        except ConfigError as exc:
+            raise ConfigError(f"methods[{i}]: {exc}") from None
         methods.append(method)
     return spec, methods
 
@@ -265,6 +271,9 @@ def theorem_config(d: dict, seed=None):
     study = {"spec": synthetic_spec_from_dict(d),
              "reps": _optional(d, "reps", int, 2000, "", minimum=100),
              "seed": _seed(d, "", seed), "projected": d.get("projection") == "pca"}
+    if any(study["spec"].interaction_effects):
+        raise ConfigError("config field spec.'interaction_effects' must be all zero: "
+                          "validate-theorem draws its trials under H0")
     if d.get("projection") not in (None, "none", "pca"):
         raise ConfigError(f"projection must be null or 'pca', got {d['projection']!r}")
     if d.get("screen_k") is not None:  # null or absent: validate_theorem's min(3, p)

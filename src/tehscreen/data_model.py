@@ -142,6 +142,13 @@ class SyntheticSpec:
         object.__setattr__(self, "adjust_effects", tuple(float(v) for v in self.adjust_effects))
         if self.family is GAUSSIAN and not self.noise_sd > 0:
             raise DataError("noise_sd must be > 0")
+        if not np.isscalar(self.covariate_correlation):
+            try:
+                m = np.asarray(self.covariate_correlation, dtype=float)
+            except ValueError:  # ragged rows
+                m = np.empty(0)
+            if m.shape != (self.p, self.p) or not np.allclose(m, m.T):
+                raise DataError("covariate_correlation must be scalar or a symmetric p x p matrix")
 
     @property
     def p_c(self):
@@ -153,10 +160,7 @@ class SyntheticSpec:
             m = np.full((self.p, self.p), float(c))
             np.fill_diagonal(m, 1.0)
             return m
-        m = np.asarray(c, dtype=float)
-        if m.shape != (self.p, self.p) or not np.allclose(m, m.T):
-            raise DataError("covariate_correlation must be scalar or a symmetric p x p matrix")
-        return m
+        return np.asarray(c, dtype=float)
 
 
 def _expand(values, p, name):

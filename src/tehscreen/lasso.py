@@ -11,8 +11,10 @@ with U the unpenalized block and X the standardized candidates. One
 penalized-IRLS loop (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw.
 33(1), section 3) alternates coordinate descent on a working quadratic with
 the family's weights at the new fit. With D = [U | X] the quadratic is the
-Gram matrix G = D'WD/n and the score D'(y - mu)/n, rebuilt only when the
-weights change; unchanged weights (always, for gaussian) mean it was exact.
+Gram matrix G = D'WD/n and the score D'(y - mu)/n. A lambda is solved once a
+step lowers the penalized quadratic by at most OUTER_TOL (its Newton decrement,
+Boyd & Vandenberghe 2004, section 9.5.1) or leaves the weights unchanged
+(always, for gaussian); only otherwise is the quadratic rebuilt.
 
 Coordinate descent keeps the gradient r = D'W(z - D theta)/n current, so one
 step costs O(q + p) rather than O(n). Each lambda first jumps, by one linear
@@ -163,7 +165,8 @@ def fit_path(
     below CD_TOL, so the certificate passes and nothing enters by itself;
     a coefficient that a failed certificate's sweep moves off zero still
     enters at that point and ranks first. Subsequent lambdas warm-start from
-    the previous one.
+    the previous one and its last quadratic. OUTER_TOL bounds the decrease
+    absolutely, never looser than OUTER_TOL * (|objective| + 1) would.
     """
     if n_lambda < 2:
         raise DataError("n_lambda must be >= 2")
@@ -197,9 +200,11 @@ def fit_path(
     sweeps = 0
 
     for lam in lambdas:
-        obj_old = np.inf
         for _ in range(OUTER_MAX):
+            theta0, grad0 = theta.copy(), grad.copy()
             sweeps += _cd(gram, grad, theta, lam, q)
+            if _decrease(grad0, grad, theta0, theta, lam, q) <= OUTER_TOL:
+                break  # the step only confirmed theta0: this lambda is solved
             eta = design @ theta
             mu = family.inverse_link(eta)
             new_weights = family.working(y, eta, mu)[0]
@@ -207,10 +212,6 @@ def fit_path(
                 break  # the quadratic was the exact objective: this lambda is solved
             weights = new_weights
             gram, grad = _quadratic(design, y, mu, weights)
-            obj = family.deviance(y, mu) / (2 * n) + lam * np.abs(theta[q:]).sum()
-            if abs(obj_old - obj) <= OUTER_TOL * (abs(obj) + 1.0):
-                break
-            obj_old = obj
         else:
             raise FitError(f"penalized IRLS failed to converge at lambda={lam:.3g}")
         beta = theta[q:]
@@ -236,6 +237,13 @@ def _quadratic(design, y, mu, weights):
     """Gram D'WD/n and canonical-link score D'(y - mu)/n of the working quadratic."""
     n = design.shape[0]
     return design.T @ (design * weights[:, None]) / n, design.T @ (y - mu) / n
+
+
+def _decrease(grad0, grad, theta0, theta, lam, q):
+    """Drop of the penalized working quadratic from theta0 to theta: with s = theta - theta0,
+    grad0's - s'Gs / 2 (= s'(grad0 + grad) / 2, as grad = grad0 - Gs) minus the penalty's rise."""
+    s = theta - theta0
+    return s @ (grad0 + grad) / 2 - lam * (np.abs(theta[q:]).sum() - np.abs(theta0[q:]).sum())
 
 
 def rank_by_entry(path: LassoPath, p: int):

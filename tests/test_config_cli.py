@@ -277,6 +277,11 @@ _POWER = {
     "methods": [{"label": "screened", "screening": {"method": "full_model"},
                  "k_rule": {"rule": "fixed", "k": 1}}],
 }
+_BAD_CORRELATIONS = {
+    "shape": [[1, 0], [0, 1]],
+    "asymmetric": [[1, 0.2, 0], [0, 1, 0], [0, 0, 1]],
+    "ragged": [[1, 0, 0], [0, 1], [0, 0, 1]],
+}
 _UNLABELED = [{"screening": {"method": "full_model"}, "k_rule": {"rule": "fixed", "k": k}}
               for k in (1, 3)]
 
@@ -367,6 +372,17 @@ _BAD_DATA = [
      "null_sim.reps"),
     # the config's seed obeys its rule even when --seed replaces it
     ("analyze", minimal_cfg(seed=-1), ["--data", "missing.csv", "--seed", "3"], "seed"),
+    # a field error inside a method names the method, not a top-level field
+    ("power-study", {**_POWER, "methods": [{**_POWER["methods"][0], "seed": -2}]}, [],
+     "methods[0]: config field 'seed'"),
+    # a correlation matrix is checked against p when the spec is parsed, not at the first draw
+    *[("generate", {"spec": {**_SPEC, "covariate_correlation": rho}}, [],
+       "'spec': covariate_correlation") for rho in _BAD_CORRELATIONS.values()],
+    # the H0/H1 rule of each study, before any replicate runs
+    ("power-study", {**_POWER, "spec": {**_POWER["spec"], "interaction_effects": []}}, [],
+     "spec.'interaction_effects'"),
+    ("validate-theorem", {**_VALIDATE, "spec": {**_SPEC, "interaction_effects": [0.3, 0, 0]}},
+     [], "spec.'interaction_effects'"),
 ], ids=["seed-str", "seed-negative", "seed-flag-negative", "alpha-str", "labels-duplicate",
         "k_rule-power-no-coef", "k_rule-fixed-float",
         "screen_k-str", "screen_k-zero", "main_effects-str", "correlation-str", "null-reps-50",
@@ -380,7 +396,9 @@ _BAD_DATA = [
         "config-int-power", "config-int-analyze", "noise_sd-int-overflow",
         "spec-n-small", "spec-p-zero", "spec-main_effects-length-generate",
         "spec-main_effects-length-power", "spec-interaction_effects-length", "spec-noise_sd-zero",
-        "methods-null-reps", "null-reps-0-simulate", "seed-negative-with-flag"])
+        "methods-null-reps", "null-reps-0-simulate", "seed-negative-with-flag",
+        "methods-seed-negative", *[f"spec-correlation-{name}" for name in _BAD_CORRELATIONS],
+        "spec-interaction_effects-h0-power", "spec-interaction_effects-h1-validate"])
 def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -109,6 +109,10 @@ class TrialDataset:
         return self._derive("treatment", t_new)
 
 
+MAX_N = 10**6  # largest synthetic trial
+MAX_P = 10**4  # most synthetic candidates: generate_trial factors a p x p correlation matrix
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Generator settings for one synthetic two-arm trial.
@@ -131,10 +135,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 4:
-            raise DataError("need n >= 4")
-        if self.p < 1:
-            raise DataError("need p >= 1")
+        # Checked before anything of size n or p is built.
+        if not 4 <= self.n <= MAX_N:
+            raise DataError(f"need 4 <= n <= {MAX_N}, got n={self.n}")
+        if not 1 <= self.p <= MAX_P:
+            raise DataError(f"need 1 <= p <= {MAX_P}, got p={self.p}")
         object.__setattr__(self, "main_effects", _expand(self.main_effects, self.p, "main_effects"))
         object.__setattr__(
             self, "interaction_effects", _expand(self.interaction_effects, self.p, "interaction_effects")
@@ -142,9 +147,14 @@ class SyntheticSpec:
         object.__setattr__(self, "adjust_effects", tuple(float(v) for v in self.adjust_effects))
         if self.family is GAUSSIAN and not self.noise_sd > 0:
             raise DataError("noise_sd must be > 0")
-        if not np.isscalar(self.covariate_correlation):
+        rho = self.covariate_correlation
+        if np.isscalar(rho):  # an equicorrelation matrix is positive definite iff -1/(p-1) < rho < 1
+            if not (rho * (self.p - 1) > -1.0 and rho < 1.0):
+                raise DataError(f"covariate_correlation must lie in (-1/(p-1), 1) at p={self.p}, "
+                                f"where its matrix is positive definite; got {rho!r}")
+        else:
             try:
-                m = np.asarray(self.covariate_correlation, dtype=float)
+                m = np.asarray(rho, dtype=float)
             except ValueError:  # ragged rows
                 m = np.empty(0)
             if m.shape != (self.p, self.p) or not np.allclose(m, m.T):

@@ -75,6 +75,45 @@ def exhaustive_best_stump(columns, r):
     return best
 
 
+def boost_unpruned(data, family, n_trees, shrinkage):
+    """Stagewise stumps with every variable searched at every tree: (stumps, relative_influence).
+
+    The split search of fit_boost before it skipped variables: one cumulative
+    sum of the centered working response per scan variable (candidates,
+    adjusters, treatment), scores n D_k^2 / (k (n - k)) with -inf at tied
+    thresholds, the first maximum in scan order. Each stump is (variable,
+    threshold, left_value, right_value, improvement).
+    """
+    x = np.vstack([data.x_candidates.T, data.x_adjust.T, data.treatment[None, :]])
+    nv, n = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    x_sorted = np.take_along_axis(x, order, axis=1)
+    penalty = np.where(x_sorted[:, 1:] > x_sorted[:, :-1], 0.0, -np.inf)
+    midpoints = 0.5 * (x_sorted[:, 1:] + x_sorted[:, :-1])
+    k = np.arange(1, n)
+    weight = n / (k * (n - k))
+    f = np.full(n, float(family.link(np.mean(data.y))))
+    stumps, improvements = [], np.zeros(nv)
+    for _ in range(n_trees if np.ptp(data.y) > 0 else 0):
+        r = data.y - family.inverse_link(f)
+        r_bar = r.sum() / n
+        d = np.cumsum((r - r_bar)[order], axis=1)
+        imp = d[:, :-1] ** 2 * weight + penalty
+        var, pos = divmod(int(imp.argmax()), n - 1)
+        best = imp[var, pos]
+        if not np.isfinite(best) or best <= 0.0:
+            break
+        threshold = float(midpoints[var, pos])
+        left = float(r_bar + d[var, pos] / (pos + 1))
+        right = float(r_bar - d[var, pos] / (n - pos - 1))
+        stumps.append((var, threshold, left, right, float(best)))
+        improvements[var] += float(best)
+        f = f + shrinkage * np.where(x[var] <= threshold, left, right)
+    cand = improvements[: data.p]
+    total = cand.sum()
+    return stumps, 100.0 * cand / total if total > 0 else np.zeros(data.p)
+
+
 def boost_predict(model, columns):
     """Stump-ensemble prediction on the working scale from the scan-order ``columns``."""
     x = np.column_stack(columns)

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ import tehscreen as ts
 from tehscreen.boosting import BoostModel
 from tehscreen.errors import DataError
 
-from _oracles import boost_predict, exhaustive_best_stump, exhaustive_splits
+from _oracles import boost_predict, boost_unpruned, exhaustive_best_stump, exhaustive_splits
 
 
 def dataset_from_columns(y, t, columns, adjust=None):
@@ -114,6 +118,58 @@ def test_every_stump_of_a_sequence_matches_exhaustive_search(family, seed):
         assert abs(stump.improvement - oracle[4]) <= NEAR_TIE_RTOL * sse_parent
         x = columns[stump.split_variable]
         f = f + model.shrinkage * np.where(x <= stump.split_value, stump.left_value, stump.right_value)
+
+
+def _search_trial(family, n, seed, variant):
+    spec = ts.SyntheticSpec(
+        n=n, p=6, family=family, main_effects=(0.8, 0.5, 0.3, 0.0, 0.0, 0.0), treatment_effect=0.4,
+        interaction_effects=(0.4, 0.0, 0.0, 0.0, 0.0, 0.0),
+        adjust_effects=(0.6, -0.3) if variant == "adjusters" else (), seed=ts.derive_seed(61, seed),
+    )
+    d = ts.generate_trial(spec)
+    x = d.x_candidates.copy()
+    if variant == "tied":
+        x = np.round(2.0 * x) / 2.0  # half-unit grid: most thresholds tie
+    elif variant == "constant-and-duplicate":
+        x[:, 3] = 1.5
+        x[:, 4] = x[:, 0]
+    return d.with_candidates(x, d.candidate_names)
+
+
+@pytest.mark.parametrize("variant", ["plain", "adjusters", "tied", "constant-and-duplicate"])
+@pytest.mark.parametrize("n", [12, 60, 400])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL], ids=["gaussian", "binomial"])
+def test_pruned_search_picks_the_full_searchs_stumps_bit_for_bit(family, seed, n, variant):
+    d = _search_trial(family, n, seed, variant)
+    model = ts.fit_boost(d, family, n_trees=150, shrinkage=0.05)
+    stumps, influence = boost_unpruned(d, family, n_trees=150, shrinkage=0.05)
+    assert [(s.split_variable, s.split_value, s.left_value, s.right_value, s.improvement)
+            for s in model.stumps] == stumps
+    assert model.relative_influence.tobytes() == influence.tobytes()
+    if n == 400:  # some (tree, variable) rows were skipped
+        assert model.rows_searched < (d.p + d.p_c + 1) * len(stumps)
+
+
+@pytest.mark.parametrize("family, share", [(ts.GAUSSIAN, 0.5), (ts.BINOMIAL, 0.3)],
+                         ids=["gaussian", "binomial"])
+def test_pruned_search_skips_most_rows_on_the_power_gain_spec(family, share):
+    # The spec of scenarios/power_gain.json (n = 400, p = 20) with its 150
+    # trees. With every row searched the share is 1; the bound searched
+    # 36% of the rows (gaussian) and 16% (binomial) on these trials.
+    scenario = json.loads((pathlib.Path(__file__).parents[1] / "scenarios" / "power_gain.json").read_text())
+    spec = ts.SyntheticSpec(
+        n=400, p=20, family=family, main_effects=tuple(scenario["spec"]["main_effects"]),
+        interaction_effects=tuple(scenario["spec"]["interaction_effects"]), treatment_effect=0.3,
+    )
+    rows = least = full = 0
+    for r in range(10):
+        d = ts.generate_trial(dataclasses.replace(spec, seed=ts.derive_seed(902, r)))
+        model = ts.fit_boost(d, family, n_trees=150, shrinkage=0.05)
+        rows += model.rows_searched
+        least += d.p + d.p_c + len(model.stumps)  # every row at the first tree, then the winner's
+        full += (d.p + d.p_c + 1) * 150
+    assert least <= rows <= share * full
 
 
 def test_duplicate_candidate_loses_every_split_to_its_lower_index_twin():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tehscreen as ts
-from tehscreen import cli
+from tehscreen import cli, data_model
 from tehscreen.config import PipelineConfig
 from tehscreen.errors import ConfigError
 
@@ -281,6 +281,8 @@ _BAD_CORRELATIONS = {
     "shape": [[1, 0], [0, 1]],
     "asymmetric": [[1, 0.2, 0], [0, 1, 0], [0, 0, 1]],
     "ragged": [[1, 0, 0], [0, 1], [0, 0, 1]],
+    "not-pd": -0.9,  # below -1/(p-1) = -0.5 at p = 3
+    "one": 1.0,
 }
 _UNLABELED = [{"screening": {"method": "full_model"}, "k_rule": {"rule": "fixed", "k": k}}
               for k in (1, 3)]
@@ -375,7 +377,7 @@ _BAD_DATA = [
     # a field error inside a method names the method, not a top-level field
     ("power-study", {**_POWER, "methods": [{**_POWER["methods"][0], "seed": -2}]}, [],
      "methods[0]: config field 'seed'"),
-    # a correlation matrix is checked against p when the spec is parsed, not at the first draw
+    # a correlation is checked against p when the spec is parsed, not at the first draw
     *[("generate", {"spec": {**_SPEC, "covariate_correlation": rho}}, [],
        "'spec': covariate_correlation") for rho in _BAD_CORRELATIONS.values()],
     # the H0/H1 rule of each study, before any replicate runs
@@ -410,6 +412,27 @@ def test_cli_rejects_bad_config_field(tmp_path, capsys, command, cfg, argv, fiel
     assert err["error"] == "ConfigError"
     assert field in err["message"]
     assert not (tmp_path / "o").exists()  # rejected before any replicate ran
+
+
+@pytest.mark.parametrize("field, value", [("n", 10**20), ("n", data_model.MAX_N + 1),
+                                          ("p", 10**20), ("p", data_model.MAX_P + 1)])
+@pytest.mark.parametrize("command", ["generate", "power-study"])
+def test_cli_refuses_a_huge_spec_before_building_it(tmp_path, capsys, monkeypatch, command, field,
+                                                     value):
+    # _expand is the spec's first p-length build; here it fails the run if reached.
+    def built(*args):
+        raise AssertionError("spec expanded before its size was checked")
+
+    monkeypatch.setattr(data_model, "_expand", built)
+    cfg = {**_POWER, "spec": {**_POWER["spec"], field: value}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "'spec'" in err["message"] and f"{field}={value}" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, cfg, out", [

@@ -159,6 +159,13 @@ class SyntheticSpec:
                 m = np.empty(0)
             if m.shape != (self.p, self.p) or not np.allclose(m, m.T):
                 raise DataError("covariate_correlation must be scalar or a symmetric p x p matrix")
+            if np.any(m.diagonal() != 1.0):
+                raise DataError("covariate_correlation matrix must have a unit diagonal: "
+                                "the covariates have unit variances")
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                raise DataError("covariate_correlation matrix is not positive definite") from None
 
     @property
     def p_c(self):

@@ -15,7 +15,17 @@ X·b + (X∘t)(a − b), so contrast j's coefficient is candidate j's arm-A
 slope minus its arm-B slope, and the additive model is nested in it by
 construction.
 
-Rank repair: design builds and IRLS solves share one rank-revealing
+Gram identity: contrast j is candidate j times the arm-A indicator, so
+every Gram entry involving a contrast is a sum over arm-A rows. With G_A
+and G_B the Grams of the additive columns over the arm-A and the arm-B
+rows, the interaction Gram is [[G_A + G_B, G_A[:, :K]], [G_A[:K],
+G_A[:K, :K]]]. An interaction design that rank repair did not cut down
+forms it so for its rank check, IRLS steps and covariance; every other
+design forms X'WX. The two agree within 1e-13 relative, so fits differ
+from X'WX ones by rounding only. Each IRLS step solves its Gram with one
+np.linalg.solve.
+
+Rank repair: design builds and IRLS steps share one rank-revealing
 Cholesky of the Gram matrix. A single LAPACK factorization is accepted when
 every pivot exceeds RANK_TOL times the largest diagonal; otherwise a
 sequential pass drops each column whose pivot is at or below that threshold.
@@ -52,12 +62,15 @@ class DesignMatrix:
     ``origin[k]`` identifies what retained column ``k`` is: ("candidate", j),
     ("arm_intercept", "A"|"B"), ("intercept",), ("adjust", j) or
     ("contrast", j), candidate j times the arm-A indicator;
-    ``dropped_columns`` indexes into the pre-repair layout.
+    ``dropped_columns`` indexes into the pre-repair layout. ``arms`` is
+    (row order with arm A first, arm-A row count, additive columns in that
+    order) on an interaction design that kept every column, else empty.
     """
 
     matrix: np.ndarray
     origin: tuple
     dropped_columns: tuple = ()
+    arms: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -101,8 +114,8 @@ class GlmFit:
         return z
 
 
-def _cholesky(gram):
-    """Rank-revealing Cholesky: (L, kept) with L @ L.T == gram[kept][:, kept].
+def _kept_columns(gram):
+    """The columns a rank-revealing Cholesky of ``gram`` keeps.
 
     The fast path is one LAPACK factorization; the sequential fallback runs
     only when a pivot is at or below RANK_TOL times the largest diagonal, and
@@ -111,11 +124,10 @@ def _cholesky(gram):
     q = gram.shape[0]
     threshold = RANK_TOL * float(np.max(gram.diagonal(), initial=0.0))
     if threshold <= 0.0:
-        return np.empty((0, 0)), []
+        return []
     try:
-        L = np.linalg.cholesky(gram)
-        if np.min(np.diag(L) ** 2) > threshold:
-            return L, list(range(q))
+        if np.min(np.diag(np.linalg.cholesky(gram)) ** 2) > threshold:
+            return list(range(q))
     except np.linalg.LinAlgError:
         pass
     kept = []
@@ -128,19 +140,41 @@ def _cholesky(gram):
             L[k, :k] = row
             L[k, k] = np.sqrt(pivot)
             kept.append(j)
-    k = len(kept)
-    return L[:k, :k], kept
+    return kept
 
 
-def make_design(columns, origin) -> DesignMatrix:
-    """Assemble a design from columns or column blocks; rank repair copies it only to drop one."""
+def _gram(X, w, arms=()):
+    """X'WX, w None meaning unit weights; from the per-arm Grams when ``arms`` is given."""
+    if not arms:
+        return X.T @ (X if w is None else X * w[:, None])
+    order, n_a, A = arms
+    m, k = A.shape[1], X.shape[1] - A.shape[1]
+    Aw = A if w is None else A * w[order, None]
+    ga = A[:n_a].T @ Aw[:n_a]
+    gram = np.empty((m + k, m + k))
+    np.add(ga, A[n_a:].T @ Aw[n_a:], out=gram[:m, :m])
+    gram[:m, m:], gram[m:, :m], gram[m:, m:] = ga[:, :k], ga[:k], ga[:k, :k]
+    return gram
+
+
+def make_design(columns, origin, arm=None) -> DesignMatrix:
+    """Assemble a design from columns or column blocks; rank repair copies it only to drop one.
+
+    ``arm``, the 0/1 arm-A indicator, marks an interaction design: its
+    trailing ("contrast", j) columns are its leading columns times ``arm``.
+    """
     matrix = np.column_stack(columns) if columns else np.empty((0, 0))
-    _, kept = _cholesky(matrix.T @ matrix)
+    arms = ()
+    if arm is not None:
+        order = np.argsort(-arm, kind="stable")
+        arms = (order, int(arm.sum()), matrix[order, : sum(o[0] != "contrast" for o in origin)])
+    kept = _kept_columns(_gram(matrix, None, arms))
     dropped = tuple(sorted(set(range(matrix.shape[1])).difference(kept)))
     return DesignMatrix(
         matrix=np.ascontiguousarray(matrix[:, kept]) if dropped else matrix,
         origin=tuple(origin[k] for k in kept),
         dropped_columns=dropped,
+        arms=() if dropped else arms,
     )
 
 
@@ -179,21 +213,25 @@ def build_interaction_design(data: TrialDataset) -> DesignMatrix:
     columns, origin = _additive_columns(data)
     t = columns[1]
     return make_design(
-        columns + [data.x_candidates * t[:, None]], origin + [("contrast", j) for j in range(k)]
+        columns + [data.x_candidates * t[:, None]], origin + [("contrast", j) for j in range(k)], t
     )
 
 
-def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER) -> GlmFit:
+def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) -> GlmFit:
     """Maximize the likelihood by IRLS with step halving.
 
     The link, the working weights and the working response come from
     ``family``. The gaussian-identity case stops after its single
     least-squares step, which is the exact maximum of the profiled
     likelihood; the binomial case iterates to a relative log-likelihood
-    change below LOGLIK_RTOL. Its first step starts from
-    ``family.initial_mu``, which no coefficient vector attains, so it is
-    taken whole and not tested for convergence. Perfect separation is
-    reported as an error rather than returned as a silently diverged fit.
+    change below LOGLIK_RTOL, halving a step only when it loses more than
+    that. A binomial fit starts at ``start``, a coefficient vector of the
+    design's width, when given; from a converged fit it stops after one
+    step, within that tolerance (the gaussian step ignores ``start``).
+    Without one it starts at ``family.initial_mu``, which no coefficient
+    vector attains, so its first step is taken whole and not tested for
+    convergence. Perfect separation is reported as an error rather than
+    returned as a silently diverged fit.
     """
     X = design.matrix
     y = np.asarray(y, dtype=float)
@@ -204,23 +242,30 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER) -> GlmFit:
         raise DataError(f"n={n} < q={q}: more columns than observations")
     family.check_response(y)
 
-    mu = family.initial_mu(y)
-    eta = family.link(mu)
-    beta = np.zeros(q)
-    ll = None  # no coefficient vector attains initial_mu, so the first step is taken whole
+    if start is None or family is GAUSSIAN:
+        mu = family.initial_mu(y)
+        eta = family.link(mu)
+        beta = np.zeros(q)
+        ll = None  # no coefficient vector attains initial_mu, so the first step is taken whole
+    else:
+        beta = np.asarray(start, dtype=float)
+        eta = X @ beta
+        mu = family.inverse_link(eta)
+        ll = family.log_likelihood(y, mu)
     converged = False
     iterations = 0
-    keep = list(range(q))  # columns rank repair has not dropped yet
+    keep, ix = list(range(q)), np.s_[:, :]  # columns rank repair kept, and their Gram block
 
     for iterations in range(1, max_iter + 1):
         w, z = family.working(y, eta, mu)
-        Xw = X * w[:, None]
-        gram = X.T @ Xw
-        rhs = Xw.T @ z
-        L, kept = _cholesky(gram if len(keep) == q else gram[np.ix_(keep, keep)])
-        keep = [keep[i] for i in kept]
+        gram = _gram(X, w, design.arms)
+        rhs = X.T @ (w * z)
+        kept = _kept_columns(gram[ix])
+        if len(kept) < len(keep):
+            keep = [keep[i] for i in kept]
+            ix = np.ix_(keep, keep)
         beta_new = np.zeros(q)
-        beta_new[keep] = np.linalg.solve(L.T, np.linalg.solve(L, rhs[keep]))
+        beta_new[keep] = np.linalg.solve(gram[ix], rhs[keep])
         if family is GAUSSIAN:
             beta, eta = beta_new, X @ beta_new
             mu, ll = eta, family.log_likelihood(y, eta)
@@ -234,7 +279,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER) -> GlmFit:
             eta_cand = X @ cand
             mu_cand = family.inverse_link(eta_cand)
             ll_cand = family.log_likelihood(y, mu_cand)
-            if ll is None or ll_cand >= ll - 1e-12 or scale < 1e-8:
+            if ll is None or ll_cand >= ll - LOGLIK_RTOL * (abs(ll) + 1.0) or scale < 1e-8:
                 break
             scale *= 0.5
         beta, eta, mu = cand, eta_cand, mu_cand
@@ -259,18 +304,17 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER) -> GlmFit:
         # can blow up, so a separated fit surfaces as a saturated, perfectly
         # fitting model rather than a norm > SEPARATION_NORM stall.
         saturated = float(np.max(np.abs(eta))) > 30.0
-        if saturated and family.deviance(y, mu) < 1e-6:
+        if saturated and -2.0 * ll < 1e-6:  # the binomial deviance
             raise SeparationError(
                 "perfect separation: every observation fitted at a saturated probability",
                 last_coefficients=beta, iterations=iterations,
             )
 
-    w_final, _ = family.working(y, eta, mu)
-    gram = X.T @ (X * w_final[:, None])
+    if family is not GAUSSIAN:  # the gaussian weights are constant, so its Gram is the last step's
+        gram = _gram(X, family.working(y, eta, mu)[0], design.arms)
     dispersion = family.dispersion(y, mu)
     covariance = np.zeros((q, q))
     if keep:
-        ix = np.s_[:, :] if len(keep) == q else np.ix_(keep, keep)  # a view when nothing dropped
         try:
             covariance[ix] = dispersion * np.linalg.inv(gram[ix])
         except np.linalg.LinAlgError:
@@ -284,7 +328,7 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER) -> GlmFit:
         covariance=covariance,
         std_errors=std,
         log_likelihood=ll,
-        deviance=family.deviance(y, mu),
+        deviance=family.deviance(y, mu) if family is GAUSSIAN else -2.0 * ll,
         iterations=iterations,
         dropped_columns=tuple(sorted(set(range(q)).difference(keep))),
         origin=design.origin,

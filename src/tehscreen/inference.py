@@ -105,7 +105,8 @@ def test_interaction(
     otherwise NestingError names the columns kept by one fit alone.
     """
     d2 = scr.stage2_dataset(data, screen)
-    null_fit = glm.fit(glm.build_additive_design(d2), d2.y, family)
+    null_design = glm.build_additive_design(d2)
+    null_fit = glm.fit(null_design, d2.y, family, start=_screening_start(screen, null_design))
     alt_fit = glm.fit(glm.build_interaction_design(d2), d2.y, family)
     null_kept, alt_kept = _kept_additive(null_fit), _kept_additive(alt_fit)
     if null_kept != alt_kept:
@@ -123,6 +124,19 @@ def test_interaction(
         screening=screen,
         df_repaired=(df != screen.k_selected),
     )
+
+
+def _screening_start(screen, design):
+    """The screening fit's coefficients in ``design``'s order when Stage 2's null
+    model is the screening model: a full-model screen hands on every candidate
+    and both fits keep the same columns. Otherwise None, a cold start."""
+    fit = screen.additive_fit
+    if fit is None or fit.dropped_columns or screen.k_selected < len(screen.ranking):
+        return None
+    origin = [("candidate", screen.ranking[o[1]]) if o[0] == "candidate" else o
+              for o in design.origin]
+    coefficients = dict(zip(fit.origin, fit.coefficients))
+    return np.array([coefficients[o] for o in origin]) if set(origin) == set(coefficients) else None
 
 
 def _kept_additive(fit):

@@ -13,6 +13,7 @@ lower covariate index.
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,8 +31,11 @@ class ScreeningResult:
     ``ranking`` orders candidate indices (or PC indices for projection
     methods) from most to least informative; ``projection``, when present,
     is the p x K map actually handed to Stage-2, its columns aligned with
-    the first K ranking entries.
+    the first K ranking entries. ``additive_fit``, the fit a full-model
+    screen ranks from, is no field, so neither a report nor ``replace`` has it.
     """
+
+    additive_fit: ClassVar = None
 
     method: str
     ranking: tuple
@@ -109,12 +113,14 @@ def rank_full_model(data: TrialDataset, family: Family, k: int | None = None) ->
 def _rank_additive_fit(fit: glm.GlmFit, p: int, k: int | None) -> ScreeningResult:
     """The full-model screen of an already fitted additive model with p candidates."""
     pvalues = _wald_pvalues(fit, p)
-    return ScreeningResult(
+    result = ScreeningResult(
         method="full_model",
         ranking=_order_by_pvalue(pvalues),
         k_selected=_clamp_k(k, p),
         substage_trace={"p_values": pvalues},
     )
+    object.__setattr__(result, "additive_fit", fit)
+    return result
 
 
 def rank_univariate(data: TrialDataset, family: Family, k: int | None = None) -> ScreeningResult:

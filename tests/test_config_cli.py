@@ -136,6 +136,42 @@ def test_cli_analyze_reports_are_reproducible(toy_run):
     assert payload == outs[0]
 
 
+def test_cli_analyze_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """A null-corrected binomial ``analyze`` gives the same report at 1 and 2 BLAS threads.
+
+    The trial is the criterion-6 shape (n = 600, p = 25, K = 25), where a
+    600 x 52 Gram product once returned different bits at different thread
+    counts. On a 1-core machine both runs use one thread, so the test
+    cannot fail there.
+    """
+    gen = {"spec": {"family": "binomial", "n": 600, "p": 25, "intercept": -0.3,
+                    "main_effects": [0.5, 0.4, 0.3] + [0] * 22, "treatment_effect": 0.4,
+                    "seed": 3001}}
+    (tmp_path / "gen.json").write_text(json.dumps(gen))
+    data_path = tmp_path / "data.csv"
+    assert cli.main(["generate", "--config", str(tmp_path / "gen.json"),
+                     "--out", str(data_path)]) == 0
+    cfg = minimal_cfg(family="binomial", k_rule={"rule": "fixed", "k": 25},
+                      null_sim={"reps": 100, "method": "parametric"})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS=threads)
+        code = "import sys, tehscreen.cli; sys.exit(tehscreen.cli.main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code, "analyze", "--config", str(cfg_path),
+                        "--data", str(data_path), "--out", str(out)], env=env, check=True)
+        report = _read(out)
+        report.pop("timestamp")
+        reports.append(report)
+    assert reports[0]["null_simulation"]["reps"] == 100
+    assert reports[0] == reports[1]
+
+
 def test_cli_generate_is_deterministic(toy_run, tmp_path):
     _, _, data_path = toy_run
     gen = {"spec": {
@@ -283,6 +319,8 @@ _BAD_CORRELATIONS = {
     "ragged": [[1, 0, 0], [0, 1], [0, 0, 1]],
     "not-pd": -0.9,  # below -1/(p-1) = -0.5 at p = 3
     "one": 1.0,
+    "matrix-not-pd": [[1, 0.9, 0.9], [0.9, 1, -0.9], [0.9, -0.9, 1]],
+    "matrix-not-unit-diagonal": [[4, 0, 0], [0, 4, 0], [0, 0, 4]],
 }
 _UNLABELED = [{"screening": {"method": "full_model"}, "k_rule": {"rule": "fixed", "k": k}}
               for k in (1, 3)]

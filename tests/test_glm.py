@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -292,6 +293,90 @@ def test_fit_rank_repair_inside_fit_reports_dropped():
     assert fit.dropped_columns == (1,)
     assert fit.coefficients[1] == 0.0
     assert np.allclose(design.matrix @ fit.coefficients, 3.0 * x, atol=1e-10)
+
+
+@pytest.mark.parametrize("treated, p_c", [(300, 0), (410, 0), (170, 2)])
+def test_interaction_gram_from_arm_blocks_equals_xtwx(treated, p_c):
+    # Unbalanced arms, adjusters, and weights from the MU_EPS floor to 0.25.
+    rng = np.random.default_rng(treated + p_c)
+    n, p = 600, 6
+    t = rng.permutation(np.arange(n) < treated).astype(int)
+    d = ts.TrialDataset(y=np.zeros(n), treatment=t, x_candidates=rng.standard_normal((n, p)),
+                        x_adjust=rng.standard_normal((n, p_c)))
+    design = ts.build_interaction_design(d)
+    assert design.dropped_columns == () and design.arms
+    X = design.matrix
+    for w in (None, rng.permutation(np.geomspace(families.MU_EPS, 0.25, n))):
+        expected = X.T @ (X if w is None else X * w[:, None])
+        assembled = glm._gram(X, w, design.arms)
+        assert np.max(np.abs(assembled - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+_RANK_FIXTURES = {  # (additive, interaction) columns dropped, the same as with X'WX Grams
+    "duplicate": ((4,), (4, 13)),  # candidate 4 copies candidate 1
+    "aliased-contrast": ((), (9,)),  # candidate 1 is constant on arm A
+    "constant": ((5,), (5, 10)),  # candidate 2 is constant: the arm-B intercept drops
+}
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
+@pytest.mark.parametrize("fixture", sorted(_RANK_FIXTURES))
+def test_rank_deficient_designs_drop_the_columns_of_the_xtwx_kernel(family, fixture):
+    d = toy_dataset(n=200, p=4, p_c=2, family=family, seed=12)
+    x = d.x_candidates.copy()
+    if fixture == "duplicate":
+        x = np.column_stack([x, x[:, 1]])
+    elif fixture == "aliased-contrast":
+        x[d.treatment == 1, 1] = 0.7
+    else:
+        x[:, 2] = 1.5
+    d = d.with_candidates(x, ())
+    designs = (ts.build_additive_design(d), ts.build_interaction_design(d))
+    assert tuple(design.dropped_columns for design in designs) == _RANK_FIXTURES[fixture]
+    for design in designs:
+        assert design.arms == ()  # a repaired design forms X'WX
+        assert ts.fit(design, d.y, family).dropped_columns == ()
+
+
+def test_assembled_and_xtwx_kernels_fit_alike():
+    d = toy_dataset(n=400, p=5, p_c=1, family=ts.BINOMIAL, seed=8)
+    design = ts.build_interaction_design(d)
+    assert design.arms
+    fit = ts.fit(design, d.y, ts.BINOMIAL)
+    oracle = ts.fit(replace(design, arms=()), d.y, ts.BINOMIAL)
+    assert fit.iterations == oracle.iterations and fit.dropped_columns == ()
+    assert fit.log_likelihood == pytest.approx(oracle.log_likelihood, rel=1e-12)
+    assert np.allclose(fit.coefficients, oracle.coefficients, rtol=1e-10, atol=1e-12)
+    assert np.allclose(fit.std_errors, oracle.std_errors, rtol=1e-10)
+
+
+def test_a_start_at_the_optimum_takes_one_step_without_halving_at_large_n():
+    # At n = 100,000 the log-likelihood is about -6e4, so its rounding
+    # exceeds an absolute 1e-12 and only a relative test lets the step stand.
+    d = toy_dataset(n=100_000, p=25, family=ts.BINOMIAL, seed=5, intercept=-0.3,
+                    main_effects=(0.5, 0.4, 0.3) + (0.0,) * 22)
+    design = ts.build_additive_design(d)
+    cold = ts.fit(design, d.y, ts.BINOMIAL)
+    real = families.Binomial.log_likelihood
+    calls = []
+
+    def counted(self, y, mu):
+        calls.append(1)
+        return real(self, y, mu)
+
+    with mock.patch.object(families.Binomial, "log_likelihood", counted):
+        warm = ts.fit(design, d.y, ts.BINOMIAL, start=cold.coefficients)
+    assert warm.iterations == 1
+    assert len(calls) == 2  # the start and one whole step
+    assert warm.log_likelihood == pytest.approx(cold.log_likelihood, rel=1e-12)
+
+
+def test_gaussian_fit_ignores_a_start():
+    d = toy_dataset(n=100, p=3, seed=4)
+    design = ts.build_interaction_design(d)
+    cold = ts.fit(design, d.y, ts.GAUSSIAN)
+    warm = ts.fit(design, d.y, ts.GAUSSIAN, start=np.ones(design.matrix.shape[1]))
+    assert np.array_equal(warm.coefficients, cold.coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -83,8 +83,8 @@ def test_interaction_refuses_fits_that_keep_different_additive_columns(monkeypat
     d = h0_data(3)
     fit = ts.glm.fit
 
-    def alt_drops_arm_b(design, y, family):
-        result = fit(design, y, family)
+    def alt_drops_arm_b(design, y, family, start=None):
+        result = fit(design, y, family, start=start)
         if any(o[0] == "contrast" for o in design.origin):
             extra = design.origin.index(("arm_intercept", "B"))
             dropped = tuple(sorted((*result.dropped_columns, extra)))
@@ -96,6 +96,47 @@ def test_interaction_refuses_fits_that_keep_different_additive_columns(monkeypat
     message = r"one fit only: null \[\('arm_intercept', 'B'\)\], alternative \[\]$"
     with pytest.raises(NestingError, match=message):
         ts.test_interaction(d, ts.GAUSSIAN, screen)
+
+
+def _null_fit_starts(monkeypatch, d, screen):
+    """test_interaction on ``screen``: (its result, the start and fit of its null fit)."""
+    fit, calls = ts.glm.fit, []
+
+    def recorded(design, y, family, start=None):
+        calls.append((start, fit(design, y, family, start=start)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ts.glm, "fit", recorded)
+    result = ts.test_interaction(d, ts.BINOMIAL, screen)
+    monkeypatch.undo()
+    return result, calls[0]
+
+
+def test_stage2_null_fit_starts_at_the_screening_fit_it_refits(monkeypatch):
+    d = h0_data(21, n=400, p=6, family=ts.BINOMIAL, main=(0.8, -0.5, 0.3, 0.0, 0.0, 0.0))
+    screen = ts.rank_full_model(d, ts.BINOMIAL)
+    assert screen.k_selected == d.p and screen.ranking != tuple(range(d.p))
+    result, (start, null_fit) = _null_fit_starts(monkeypatch, d, screen)
+    assert start is not None and null_fit.iterations == 1
+
+    cold = ts.fit(ts.build_additive_design(ts.stage2_dataset(d, screen)), d.y, ts.BINOMIAL)
+    assert cold.iterations > 1
+    assert null_fit.log_likelihood == pytest.approx(cold.log_likelihood, rel=1e-12)
+    assert result.p_raw == pytest.approx(
+        ts.test_interaction(d, ts.BINOMIAL, screen.truncate(d.p)).p_raw, rel=1e-12)
+    assert "additive_fit" not in asdict(screen)  # no report carries the fit
+
+
+def test_stage2_null_fit_starts_cold_unless_it_refits_the_screening_model(monkeypatch):
+    d = h0_data(21, n=400, p=6, family=ts.BINOMIAL, main=(0.8, -0.5, 0.3, 0.0, 0.0, 0.0))
+    full = ts.rank_full_model(d, ts.BINOMIAL)
+    dropped = replace(full)  # a screening fit that dropped a column at fit time
+    object.__setattr__(dropped, "additive_fit", replace(full.additive_fit, dropped_columns=(5,)))
+    for screen in (ts.rank_full_model(d, ts.BINOMIAL, k=d.p - 1),
+                   ts.screen_pca_single_stage(d, ts.BINOMIAL, k=d.p),
+                   dropped):
+        _, (start, null_fit) = _null_fit_starts(monkeypatch, d, screen)
+        assert start is None and null_fit.iterations > 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ Gram identity: contrast j is candidate j times the arm-A indicator, so
 every Gram entry involving a contrast is a sum over arm-A rows. With G_A
 and G_B the Grams of the additive columns over the arm-A and the arm-B
 rows, the interaction Gram is [[G_A + G_B, G_A[:, :K]], [G_A[:K],
-G_A[:K, :K]]]. An interaction design that rank repair did not cut down
-forms it so for its rank check, IRLS steps and covariance; every other
-design forms X'WX. The two agree within 1e-13 relative, so fits differ
-from X'WX ones by rounding only. Each IRLS step solves its Gram with one
-np.linalg.solve.
+G_A[:K, :K]]]. Every interaction design forms it so for its rank check,
+IRLS steps and covariance; every other design forms X'WX. The two agree
+within 1e-13 relative, so fits differ from X'WX ones by rounding only.
+Each IRLS step solves its Gram with one np.linalg.solve.
 
 Rank repair: design builds and IRLS steps share one rank-revealing
 Cholesky of the Gram matrix. A single LAPACK factorization is accepted when
@@ -31,7 +30,15 @@ every pivot exceeds RANK_TOL times the largest diagonal; otherwise a
 sequential pass drops each column whose pivot is at or below that threshold.
 Later columns lose to earlier ones, so duplicates are removed
 deterministically and a contrast column loses to the additive columns it
-is aliased with; drops are recorded, never silent.
+is aliased with; drops are recorded, never silent. When contrasts are
+aliased with each other, column order decides which of them drops, so the
+per-coordinate split of such a set is a convention, not a statistic.
+
+One layout: a design keeps every column it was built from, and its
+``dropped_columns`` and a fit's index that layout; a fit starts from the
+columns the design kept. IRLS stops, in either family, when a step leaves
+the working weights unchanged (the gaussian step always does) or the
+log-likelihood moves by at most LOGLIK_RTOL relative.
 """
 
 import math
@@ -57,14 +64,15 @@ SEPARATION_NORM = 1e4
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Full-column-rank design with per-column provenance.
+    """Design with per-column provenance, in the layout it was built in.
 
-    ``origin[k]`` identifies what retained column ``k`` is: ("candidate", j),
+    ``origin[k]`` identifies what column ``k`` is: ("candidate", j),
     ("arm_intercept", "A"|"B"), ("intercept",), ("adjust", j) or
-    ("contrast", j), candidate j times the arm-A indicator;
-    ``dropped_columns`` indexes into the pre-repair layout. ``arms`` is
-    (row order with arm A first, arm-A row count, additive columns in that
-    order) on an interaction design that kept every column, else empty.
+    ("contrast", j), candidate j times the arm-A indicator.
+    ``dropped_columns`` are the columns rank repair drops; they stay in
+    ``matrix`` and fits leave them out. ``arms`` is (row order with arm A
+    first, arm-A row count, additive columns in that order) on every
+    interaction design, else empty.
     """
 
     matrix: np.ndarray
@@ -77,10 +85,11 @@ class DesignMatrix:
 class GlmFit:
     """One converged GLM fit (non-convergence raises instead).
 
-    ``coefficients`` has the design's width, with zeros at fit-time dropped
-    columns; ``covariance`` is the inverse Fisher information on retained
-    columns (zero rows/columns at drops) scaled by the dispersion
-    (profiled RSS/n for gaussian, 1 for binomial).
+    ``coefficients`` has the design's width, with zeros at
+    ``dropped_columns``, the design's drops and the fit's own; ``covariance``
+    is the inverse Fisher information on retained columns (zero
+    rows/columns at drops) scaled by the dispersion (profiled RSS/n for
+    gaussian, 1 for binomial).
     """
 
     coefficients: np.ndarray
@@ -158,7 +167,7 @@ def _gram(X, w, arms=()):
 
 
 def make_design(columns, origin, arm=None) -> DesignMatrix:
-    """Assemble a design from columns or column blocks; rank repair copies it only to drop one.
+    """Assemble a design from columns or column blocks and record what rank repair drops.
 
     ``arm``, the 0/1 arm-A indicator, marks an interaction design: its
     trailing ("contrast", j) columns are its leading columns times ``arm``.
@@ -170,12 +179,7 @@ def make_design(columns, origin, arm=None) -> DesignMatrix:
         arms = (order, int(arm.sum()), matrix[order, : sum(o[0] != "contrast" for o in origin)])
     kept = _kept_columns(_gram(matrix, None, arms))
     dropped = tuple(sorted(set(range(matrix.shape[1])).difference(kept)))
-    return DesignMatrix(
-        matrix=np.ascontiguousarray(matrix[:, kept]) if dropped else matrix,
-        origin=tuple(origin[k] for k in kept),
-        dropped_columns=dropped,
-        arms=() if dropped else arms,
-    )
+    return DesignMatrix(matrix=matrix, origin=tuple(origin), dropped_columns=dropped, arms=arms)
 
 
 def _arm_and_adjust_block(data: TrialDataset):
@@ -218,28 +222,30 @@ def build_interaction_design(data: TrialDataset) -> DesignMatrix:
 
 
 def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) -> GlmFit:
-    """Maximize the likelihood by IRLS with step halving.
+    """Maximize the likelihood by IRLS with step halving, from the columns the design kept.
 
     The link, the working weights and the working response come from
-    ``family``. The gaussian-identity case stops after its single
-    least-squares step, which is the exact maximum of the profiled
-    likelihood; the binomial case iterates to a relative log-likelihood
-    change below LOGLIK_RTOL, halving a step only when it loses more than
-    that. A binomial fit starts at ``start``, a coefficient vector of the
-    design's width, when given; from a converged fit it stops after one
-    step, within that tolerance (the gaussian step ignores ``start``).
-    Without one it starts at ``family.initial_mu``, which no coefficient
-    vector attains, so its first step is taken whole and not tested for
-    convergence. Perfect separation is reported as an error rather than
-    returned as a silently diverged fit.
+    ``family``. Both families stop when a step leaves the working weights
+    unchanged, as the gaussian-identity step always does (it is the exact
+    maximum of the profiled likelihood), or changes the log-likelihood by at
+    most LOGLIK_RTOL relative; a step is halved only when it loses more than
+    that. The covariance reuses the last step's Gram when the weights did
+    not change. A binomial fit starts at ``start``, a coefficient vector of
+    the design's width, when given (the gaussian step ignores it); from a
+    converged fit it stops after one step. Without one it starts at
+    ``family.initial_mu``, which no coefficient vector attains, so its first
+    step is taken whole. Perfect separation is reported as an error rather
+    than returned as a silently diverged fit.
     """
     X = design.matrix
     y = np.asarray(y, dtype=float)
     n, q = X.shape
     if y.shape != (n,):
         raise DataError("response length does not match the design")
-    if n < q:
-        raise DataError(f"n={n} < q={q}: more columns than observations")
+    keep = [k for k in range(q) if k not in design.dropped_columns]  # what rank repair kept
+    ix = np.ix_(keep, keep) if design.dropped_columns else np.s_[:, :]
+    if n < len(keep):
+        raise DataError(f"n={n} < q={len(keep)}: more columns than observations")
     family.check_response(y)
 
     if start is None or family is GAUSSIAN:
@@ -252,12 +258,10 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) 
         eta = X @ beta
         mu = family.inverse_link(eta)
         ll = family.log_likelihood(y, mu)
-    converged = False
     iterations = 0
-    keep, ix = list(range(q)), np.s_[:, :]  # columns rank repair kept, and their Gram block
+    w, z = family.working(y, eta, mu)
 
     for iterations in range(1, max_iter + 1):
-        w, z = family.working(y, eta, mu)
         gram = _gram(X, w, design.arms)
         rhs = X.T @ (w * z)
         kept = _kept_columns(gram[ix])
@@ -266,11 +270,6 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) 
             ix = np.ix_(keep, keep)
         beta_new = np.zeros(q)
         beta_new[keep] = np.linalg.solve(gram[ix], rhs[keep])
-        if family is GAUSSIAN:
-            beta, eta = beta_new, X @ beta_new
-            mu, ll = eta, family.log_likelihood(y, eta)
-            converged = True
-            break
 
         step = beta_new - beta
         scale = 1.0
@@ -283,13 +282,13 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) 
                 break
             scale *= 0.5
         beta, eta, mu = cand, eta_cand, mu_cand
-        if ll is not None and abs(ll_cand - ll) <= LOGLIK_RTOL * (abs(ll) + 1.0):
-            ll = ll_cand
-            converged = True
+        w_new, z = family.working(y, eta, mu)
+        steady = np.array_equal(w_new, w)
+        done = steady or (ll is not None and abs(ll_cand - ll) <= LOGLIK_RTOL * (abs(ll) + 1.0))
+        ll, w = ll_cand, w_new
+        if done:
             break
-        ll = ll_cand
-
-    if not converged:
+    else:
         if float(np.max(np.abs(beta))) > SEPARATION_NORM:
             raise SeparationError(
                 "perfect separation suspected: coefficients diverged during IRLS",
@@ -310,8 +309,8 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) 
                 last_coefficients=beta, iterations=iterations,
             )
 
-    if family is not GAUSSIAN:  # the gaussian weights are constant, so its Gram is the last step's
-        gram = _gram(X, family.working(y, eta, mu)[0], design.arms)
+    if not steady:
+        gram = _gram(X, w, design.arms)
     dispersion = family.dispersion(y, mu)
     covariance = np.zeros((q, q))
     if keep:

@@ -108,11 +108,14 @@ def test_interaction(
     null_design = glm.build_additive_design(d2)
     null_fit = glm.fit(null_design, d2.y, family, start=_screening_start(screen, null_design))
     alt_fit = glm.fit(glm.build_interaction_design(d2), d2.y, family)
-    null_kept, alt_kept = _kept_additive(null_fit), _kept_additive(alt_fit)
-    if null_kept != alt_kept:
+    m = len(null_fit.origin)  # the alternative's first m columns are the null's, in order
+    null_drops = set(null_fit.dropped_columns)
+    alt_drops = {k for k in alt_fit.dropped_columns if k < m}
+    if null_drops != alt_drops:
+        origin = null_fit.origin
         raise NestingError("additive columns kept by one fit only: null "
-                           f"{sorted(null_kept - alt_kept, key=str)}, alternative "
-                           f"{sorted(alt_kept - null_kept, key=str)}")
+                           f"{[origin[k] for k in sorted(alt_drops - null_drops)]}, alternative "
+                           f"{[origin[k] for k in sorted(null_drops - alt_drops)]}")
     df = len(alt_fit.role("contrast")[0])
     statistic, p_raw = glm.lrt(null_fit, alt_fit, df)
     diffs = glm.standardized_arm_difference(alt_fit, d2.p)
@@ -129,20 +132,13 @@ def test_interaction(
 def _screening_start(screen, design):
     """The screening fit's coefficients in ``design``'s order when Stage 2's null
     model is the screening model: a full-model screen hands on every candidate
-    and both fits keep the same columns. Otherwise None, a cold start."""
+    and neither the screening fit nor ``design`` dropped a column. Otherwise
+    None, a cold start."""
     fit = screen.additive_fit
-    if fit is None or fit.dropped_columns or screen.k_selected < len(screen.ranking):
+    p = len(screen.ranking)
+    if fit is None or fit.dropped_columns or design.dropped_columns or screen.k_selected < p:
         return None
-    origin = [("candidate", screen.ranking[o[1]]) if o[0] == "candidate" else o
-              for o in design.origin]
-    coefficients = dict(zip(fit.origin, fit.coefficients))
-    return np.array([coefficients[o] for o in origin]) if set(origin) == set(coefficients) else None
-
-
-def _kept_additive(fit):
-    """Origins of the non-contrast columns that ``fit`` keeps."""
-    dropped = set(fit.dropped_columns)
-    return {o for k, o in enumerate(fit.origin) if k not in dropped and o[0] != "contrast"}
+    return np.concatenate([fit.coefficients[list(screen.ranking)], fit.coefficients[p:]])
 
 
 def run_screening(data: TrialDataset, cfg: PipelineConfig, k: int) -> scr.ScreeningResult:
@@ -188,21 +184,13 @@ def _additive_predictor_parts(data: TrialDataset, family: Family):
     (the profiled gaussian SD; 1 for binomial, whose draw ignores it).
     """
     design = glm.build_additive_design(data)
-    fit = glm.fit(design, data.y, family)
-    coef = fit.coefficients
-    beta_cand = np.zeros(data.p)
-    beta_adj = np.zeros(data.p_c)
-    keys, cols = fit.role("candidate")
-    beta_cand[list(keys)] = coef[cols]
-    keys, cols = fit.role("adjust")
-    beta_adj[list(keys)] = coef[cols]
-    arm = dict(zip(*fit.role("arm_intercept")))
-    a_A, a_B = (coef[arm[a]] if a in arm else 0.0 for a in "AB")
-    eta_base = data.x_candidates @ beta_cand
+    coef, p = glm.fit(design, data.y, family).coefficients, data.p
+    # The design's layout is [candidates | arm A | arm B | adjusters], zero at drops.
+    eta_base = data.x_candidates @ coef[:p]
     if data.p_c:
-        eta_base = eta_base + data.x_adjust @ beta_adj
-    sigma = np.sqrt(family.dispersion(data.y, design.matrix @ fit.coefficients))
-    return eta_base, a_A, a_B, sigma
+        eta_base = eta_base + data.x_adjust @ coef[p + 2:]
+    sigma = np.sqrt(family.dispersion(data.y, design.matrix @ coef))
+    return eta_base, coef[p], coef[p + 1], sigma
 
 
 def simulate_null(data: TrialDataset, cfg: PipelineConfig, seed: int) -> NullDistribution:

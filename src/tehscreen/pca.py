@@ -2,8 +2,10 @@
 
 Centering is always applied; standardization (the screening default) divides
 by the n-1 sample standard deviation. Loading columns are ordered by
-decreasing score variance and signed so the largest-magnitude element of
-each column is positive, which makes results reproducible across runs.
+decreasing score variance and signed so that the first element within
+SIGN_RTOL (relative; SVD rounding is orders smaller) of the column's largest
+magnitude is positive. Tied magnitudes, such as the 1/sqrt(2) loadings of two
+standardized columns, then sign alike whatever the row order or rounding.
 """
 
 from dataclasses import dataclass
@@ -13,6 +15,7 @@ import numpy as np
 from .errors import DataError
 
 DEGENERATE_VARIANCE = 1e-12
+SIGN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,9 @@ def compute_pca(x, standardize: bool = True) -> PcaResult:
     variances = np.zeros(m)
     variances[: s.shape[0]] = s**2 / (n - 1)
 
-    # Deterministic sign: largest-magnitude element of each column positive.
-    flip = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(m)] < 0
+    size = np.abs(loadings)  # deterministic sign, see the module docstring
+    lead = np.argmax(size >= (1.0 - SIGN_RTOL) * size.max(axis=0), axis=0)
+    flip = loadings[lead, np.arange(m)] < 0
     loadings = loadings * np.where(flip, -1.0, 1.0)
 
     return PcaResult(

@@ -299,10 +299,7 @@ def irm_risk_projection(
         cols = [data.x_candidates[:, j] for j in range(data.p)] + [np.ones(data.n)]
         origin = [("candidate", j) for j in range(data.p)] + [("intercept",)]
         design = glm.make_design(cols, origin)
-    fit = glm.fit(design, data.y, family)
-    beta = np.zeros(data.p)
-    keys, cols = fit.role("candidate")
-    beta[list(keys)] = fit.coefficients[cols]
+    beta = glm.fit(design, data.y, family).coefficients[: data.p]  # candidates lead, zero at drops
     return ScreeningResult(
         method="irm",
         ranking=(0,),

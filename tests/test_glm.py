@@ -68,9 +68,12 @@ def test_additive_design_drops_duplicate_candidate():
         x_adjust=np.empty((6, 0)),
     )
     design = ts.build_additive_design(d)
-    assert design.matrix.shape[1] == 3
-    # Pre-repair layout: [x | copy of x | arm A | arm B]; the later copy drops.
+    # One layout: [x | copy of x | arm A | arm B]; the later copy drops but stays in the matrix.
+    assert design.matrix.shape[1] == 4
     assert design.dropped_columns == (1,)
+    fit = ts.fit(design, d.y, ts.GAUSSIAN)
+    assert fit.dropped_columns == design.dropped_columns
+    assert fit.coefficients[1] == 0.0
 
 
 _COPY = st.tuples(
@@ -138,10 +141,11 @@ def test_design_builders_match_the_column_by_column_oracle(interaction, duplicat
         origin = origin + [("contrast", j) for j in range(d.p)]
     dropped = ((4, 13) if interaction else (4,)) if duplicate else ()
     assert design.dropped_columns == dropped
-    kept = [k for k in range(matrix.shape[1]) if k not in dropped]
-    assert np.array_equal(design.matrix, matrix[:, kept])
+    assert np.array_equal(design.matrix, matrix)  # dropped columns stay: one layout
     assert design.matrix.flags.c_contiguous
-    assert design.origin == tuple(origin[k] for k in kept)
+    assert design.origin == tuple(origin)
+    assert bool(design.arms) == interaction
+    assert ts.fit(design, d.y, ts.GAUSSIAN).dropped_columns == dropped
     additive = ts.build_additive_design(d)  # the interaction design extends it bit for bit
     assert np.array_equal(design.matrix[:, : additive.matrix.shape[1]], additive.matrix)
 
@@ -319,9 +323,7 @@ _RANK_FIXTURES = {  # (additive, interaction) columns dropped, the same as with 
 }
 
 
-@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
-@pytest.mark.parametrize("fixture", sorted(_RANK_FIXTURES))
-def test_rank_deficient_designs_drop_the_columns_of_the_xtwx_kernel(family, fixture):
+def _rank_fixture(family, fixture):
     d = toy_dataset(n=200, p=4, p_c=2, family=family, seed=12)
     x = d.x_candidates.copy()
     if fixture == "duplicate":
@@ -330,12 +332,18 @@ def test_rank_deficient_designs_drop_the_columns_of_the_xtwx_kernel(family, fixt
         x[d.treatment == 1, 1] = 0.7
     else:
         x[:, 2] = 1.5
-    d = d.with_candidates(x, ())
+    return d.with_candidates(x, ())
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
+@pytest.mark.parametrize("fixture", sorted(_RANK_FIXTURES))
+def test_rank_deficient_designs_drop_the_columns_of_the_xtwx_kernel(family, fixture):
+    d = _rank_fixture(family, fixture)
     designs = (ts.build_additive_design(d), ts.build_interaction_design(d))
     assert tuple(design.dropped_columns for design in designs) == _RANK_FIXTURES[fixture]
-    for design in designs:
-        assert design.arms == ()  # a repaired design forms X'WX
-        assert ts.fit(design, d.y, family).dropped_columns == ()
+    assert designs[1].arms  # a repaired interaction design keeps its per-arm Gram
+    for design in designs:  # the fit drops no column beyond the design's
+        assert ts.fit(design, d.y, family).dropped_columns == design.dropped_columns
 
 
 def test_assembled_and_xtwx_kernels_fit_alike():
@@ -348,6 +356,28 @@ def test_assembled_and_xtwx_kernels_fit_alike():
     assert fit.log_likelihood == pytest.approx(oracle.log_likelihood, rel=1e-12)
     assert np.allclose(fit.coefficients, oracle.coefficients, rtol=1e-10, atol=1e-12)
     assert np.allclose(fit.std_errors, oracle.std_errors, rtol=1e-10)
+
+
+@pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
+@pytest.mark.parametrize("fixture", sorted(_RANK_FIXTURES))
+def test_repaired_designs_fit_like_xtwx_fits_of_their_kept_columns(family, fixture):
+    # The oracle compacts each design to the columns rank repair kept and
+    # forms X'WX; the library keeps every column and the interaction fit
+    # forms its Gram from per-arm blocks. Same drops, LRT p within 1e-12.
+    d = _rank_fixture(family, fixture)
+    fits, oracles = [], []
+    for design in (ts.build_additive_design(d), ts.build_interaction_design(d)):
+        kept = [k for k in range(design.matrix.shape[1]) if k not in design.dropped_columns]
+        compact = glm.DesignMatrix(matrix=np.ascontiguousarray(design.matrix[:, kept]),
+                                   origin=tuple(design.origin[k] for k in kept))
+        fit, oracle = ts.fit(design, d.y, family), ts.fit(compact, d.y, family)
+        assert fit.dropped_columns == design.dropped_columns and oracle.dropped_columns == ()
+        assert np.allclose(fit.coefficients[kept], oracle.coefficients, rtol=1e-10, atol=1e-12)
+        fits.append(fit)
+        oracles.append(oracle)
+    df = len(fits[1].role("contrast")[0])
+    assert df == len(oracles[1].role("contrast")[0])
+    assert ts.lrt(*fits, df)[1] == pytest.approx(ts.lrt(*oracles, df)[1], rel=1e-12)
 
 
 def test_a_start_at_the_optimum_takes_one_step_without_halving_at_large_n():

@@ -57,6 +57,18 @@ def test_sign_convention_and_repeatability():
     assert np.all(a.loadings[peak, np.arange(4)] > 0)
 
 
+def test_tied_loading_magnitudes_sign_the_same_under_a_row_permutation():
+    # Two standardized columns: every loading is +-1/sqrt(2) in exact
+    # arithmetic, so only the tie rule, not rounding, may pick the sign.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((500, 2))
+        a = ts.compute_pca(x)
+        b = ts.compute_pca(x[rng.permutation(500)])
+        assert np.all(a.loadings[0] > 0) and np.all(b.loadings[0] > 0), seed
+        assert np.allclose(a.loadings, b.loadings, rtol=0.0, atol=1e-12), seed
+
+
 def test_rank_identity_and_singleton():
     rng = np.random.default_rng(3)
     res = ts.compute_pca(rng.standard_normal((20, 4)))

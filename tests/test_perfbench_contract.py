@@ -77,6 +77,7 @@ def test_every_counter_reads_integers_from_a_real_return_value():
         counts = counter(values[name])
         assert counts and all(type(v) is int and v >= 0 for v in counts.values()), name
     assert tracing.COUNTERS["glm.make_design"](values["glm.make_design"]) == {"dropped_columns": 1}
+    assert tracing.COUNTERS["glm.fit"](values["glm.fit"])["dropped_columns"] == 1  # the design's drop
 
 
 def _shrink(workload, argv, reps):

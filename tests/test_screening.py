@@ -46,14 +46,16 @@ def test_full_model_pvalues_equal_scalar_norm_sf_oracle(family):
     d = d.with_candidates(np.column_stack([x, x[:, 1]]), (*d.candidate_names, "dup"))
     design = ts.build_additive_design(d)
     fit = ts.fit(design, d.y, family)
-    column = {o[1]: k for k, o in enumerate(design.origin) if o[0] == "candidate"}
+    column = {o[1]: k for k, o in enumerate(design.origin)
+              if o[0] == "candidate" and k not in design.dropped_columns}
     oracle = [
         float(2.0 * norm.sf(abs(fit.coefficients[column[j]] / fit.std_errors[column[j]])))
         if j in column else 1.0
         for j in range(d.p)
     ]
-    # Pre-repair layout: candidates 0-5, then the arm intercepts; the duplicate (5) drops.
+    # One layout: candidates 0-5, then the arm intercepts; the duplicate (5) drops.
     assert design.dropped_columns == (5,)
+    assert fit.dropped_columns == design.dropped_columns
     # erfc(|z|/sqrt 2) and scipy's ndtr differ in the last bits only.
     assert ts.rank_full_model(d, family).substage_trace["p_values"] == pytest.approx(
         oracle, rel=1e-12, abs=0.0

@@ -7,7 +7,8 @@ read; there is no way to express a data-adaptive K.
 
 This module alone reads, defaults and checks the config's keys, each once,
 before any data is read; the ``--seed`` and ``--k-values`` flags obey the
-rules of the fields they replace. ``cli.py`` keeps argv, the output-path
+rules of the fields they replace. ``SCREENS`` is the one statement of which
+screening method reads which field. ``cli.py`` keeps argv, the output-path
 checks, dispatch, writing and exit codes.
 """
 
@@ -20,7 +21,17 @@ from .errors import ConfigError, DataError
 from .families import Family, family_from_name
 from .screening import k_schedule
 
-SCREENING_METHODS = ("full_model", "univariate", "lasso", "pca", "multi_stage", "irm")
+# method: (its function in screening.py, the keyword arguments it takes from the config)
+SCREENS = {
+    "full_model": ("rank_full_model", ()),
+    "univariate": ("rank_univariate", ()),
+    "lasso": ("rank_lasso", ("include_treatment", "n_lambda")),
+    "pca": ("screen_pca_single_stage", ("supervised", "standardize", "n_lambda",
+                                        "include_treatment")),
+    "multi_stage": ("screen_multi_stage", ("ml", "pc_rank", "ri_threshold", "n_trees", "shrinkage",
+                                           "n_lambda", "standardize", "include_treatment")),
+    "irm": ("irm_risk_projection", ("include_treatment",)),
+}
 K_RULES = ("log", "power", "fixed")
 
 
@@ -95,21 +106,15 @@ def _is_vector(value):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything needed to run Stage-1 + Stage-2 on one dataset; built by ``from_dict``."""
+    """Everything needed to run Stage-1 + Stage-2 on one dataset; built by ``from_dict``.
+
+    ``screen_options`` holds the fields that ``SCREENS`` lists for ``method``."""
 
     family: Family
     method: str
     k_rule: str
     k_params: dict
-    supervised_pc: bool
-    ml: str
-    pc_rank: str
-    include_treatment: bool
-    n_trees: int
-    shrinkage: float
-    ri_threshold: float
-    n_lambda: int
-    pca_standardize: bool
+    screen_options: dict
     null_reps: int
     null_method: str
     seed: int
@@ -120,7 +125,7 @@ class PipelineConfig:
         """Parse a pipeline config; ``seed`` is the ``--seed`` flag, if one was given."""
         family = family_from_name(_require(d, "family", str, ""))
         screening = _require(d, "screening", dict, "")
-        method = _choice(screening, "method", SCREENING_METHODS, "screening.")
+        method = _choice(screening, "method", tuple(SCREENS), "screening.")
 
         k_rule_block = _require(d, "k_rule", dict, "")
         rule = _choice(k_rule_block, "rule", K_RULES, "k_rule.")
@@ -136,26 +141,26 @@ class PipelineConfig:
         pca_block = _optional(screening, "pca", dict, {}, "screening.")
         null_block = _optional(d, "null_sim", dict, {}, "")
 
+        options = {
+            "supervised": _optional(screening, "supervised", bool, False, "screening."),
+            "ml": _choice(screening, "ml", ("boosting", "lasso"), "screening.", "boosting"),
+            "pc_rank": _choice(screening, "pc_rank", ("variance", "supervised"), "screening.",
+                               "variance"),
+            "include_treatment": _optional(screening, "include_treatment", bool, True,
+                                           "screening."),
+            "n_trees": _optional(boost, "n_trees", int, 500, "screening.boosting.", minimum=1),
+            "shrinkage": _optional(boost, "shrinkage", float, 0.05, "screening.boosting."),
+            "ri_threshold": _optional(boost, "ri_threshold", float, 1.0, "screening.boosting.",
+                                      minimum=0.0),
+            "n_lambda": _optional(las, "n_lambda", int, 100, "screening.lasso.", minimum=2),
+            "standardize": _optional(pca_block, "standardize", bool, True, "screening.pca."),
+        }
         cfg = cls(
             family=family,
             method=method,
             k_rule=rule,
             k_params=k_params,
-            supervised_pc=_optional(screening, "supervised", bool, False, "screening."),
-            ml=_choice(screening, "ml", ("boosting", "lasso"), "screening.", "boosting"),
-            pc_rank=_choice(
-                screening, "pc_rank", ("variance", "supervised"), "screening.", "variance"
-            ),
-            include_treatment=_optional(
-                screening, "include_treatment", bool, True, "screening."
-            ),
-            n_trees=_optional(boost, "n_trees", int, 500, "screening.boosting.", minimum=1),
-            shrinkage=_optional(boost, "shrinkage", float, 0.05, "screening.boosting."),
-            ri_threshold=_optional(
-                boost, "ri_threshold", float, 1.0, "screening.boosting.", minimum=0.0
-            ),
-            n_lambda=_optional(las, "n_lambda", int, 100, "screening.lasso.", minimum=2),
-            pca_standardize=_optional(pca_block, "standardize", bool, True, "screening.pca."),
+            screen_options={key: options[key] for key in SCREENS[method][1]},
             null_reps=_optional(null_block, "reps", int, 0, "null_sim."),
             null_method=_choice(
                 null_block, "method", ("parametric", "permutation"), "null_sim.", "parametric"
@@ -165,7 +170,7 @@ class PipelineConfig:
         )
         if cfg.null_reps != 0 and cfg.null_reps < 100:
             raise ConfigError(f"null_sim.reps must be 0 (no null) or >= 100, got {cfg.null_reps}")
-        if not 0.0 < cfg.shrinkage <= 1.0:
+        if not 0.0 < options["shrinkage"] <= 1.0:
             raise ConfigError("screening.boosting.shrinkage must be in (0, 1]")
         cfg.resolve_k(1)  # the rule's own parameter checks, before any data is read
         return cfg
@@ -242,7 +247,7 @@ def synthetic_spec_from_dict(cfg: dict, seed=None) -> SyntheticSpec:
 def load_study(cfg: dict):
     """Parse a power-study config: (synthetic spec, [PipelineConfig per method]).
 
-    Each method inherits the spec's family unless it names its own, and asks for no null.
+    Each method takes the spec's family, named again or left out, and asks for no null.
     """
     spec = synthetic_spec_from_dict(cfg)
     if not any(spec.interaction_effects):
@@ -257,6 +262,8 @@ def load_study(cfg: dict):
             raise ConfigError(f"methods[{i}] must be an object")
         try:
             method = PipelineConfig.from_dict({"family": cfg["spec"]["family"], **m})
+            if method.family is not spec.family:
+                raise ConfigError(f"config field 'family' must be spec.family: {spec.family.name}")
             if method.null_reps:
                 raise ConfigError("null_sim.reps must be 0, since power-study runs no null "
                                   "per replicate")

@@ -1,8 +1,11 @@
 """Stage-2 interaction testing and all Monte Carlo validation machinery.
 
-``test_interaction`` runs the likelihood-ratio test of the interaction
-model (the additive model plus a treatment contrast per candidate) against
-the additive model on the screened (or projected) covariates.
+``run_screening`` runs the Stage-1 screen of a config: ``config.SCREENS``, the
+one statement of which method reads which field, names its function in
+``screening.py`` and the options it takes. ``test_interaction`` runs the
+likelihood-ratio test of the interaction model (the additive model plus a
+treatment contrast per candidate) against the additive model on the screened
+(or projected) covariates.
 ``simulate_null`` rebuilds the test's H0 distribution for the dataset at
 hand by a parametric bootstrap from the fitted additive model (treatment
 main effect retained, interactions zero, fresh re-randomized labels), or by
@@ -19,11 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import glm, screening as scr
-from .config import PipelineConfig
+from .config import SCREENS, PipelineConfig
 from .data_model import SyntheticSpec, TrialDataset, generate_trial
 from .errors import ConfigError, DataError, NestingError, NullSimulationError, NumericalError
 from .families import Family
-from .pca import compute_pca
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -142,31 +144,10 @@ def _screening_start(screen, design):
 
 
 def run_screening(data: TrialDataset, cfg: PipelineConfig, k: int) -> scr.ScreeningResult:
-    """Dispatch the configured Stage-1 engine with the pre-specified K."""
-    family = cfg.family
-    if cfg.method == "full_model":
-        return scr.rank_full_model(data, family, k=k)
-    if cfg.method == "univariate":
-        return scr.rank_univariate(data, family, k=k)
-    if cfg.method == "lasso":
-        return scr.rank_lasso(
-            data, family, k=k, include_treatment=cfg.include_treatment, n_lambda=cfg.n_lambda
-        )
-    if cfg.method == "pca":
-        return scr.screen_pca_single_stage(
-            data, family, supervised=cfg.supervised_pc, k=k,
-            standardize=cfg.pca_standardize, n_lambda=cfg.n_lambda,
-            include_treatment=cfg.include_treatment,
-        )
-    if cfg.method == "multi_stage":
-        return scr.screen_multi_stage(
-            data, family, ml=cfg.ml, pc_rank=cfg.pc_rank, k=k,
-            ri_threshold=cfg.ri_threshold, n_trees=cfg.n_trees, shrinkage=cfg.shrinkage,
-            n_lambda=cfg.n_lambda, standardize=cfg.pca_standardize,
-            include_treatment=cfg.include_treatment,
-        )
-    # irm: from_dict admits no other method
-    return scr.irm_risk_projection(data, family, include_treatment=cfg.include_treatment)
+    """Run the screen ``SCREENS`` names for ``cfg.method`` with K (irm, a K=1 screen, takes
+    none), looked up on ``screening`` at each call so that a wrapper put there runs."""
+    k_arg = {} if cfg.method == "irm" else {"k": k}
+    return getattr(scr, SCREENS[cfg.method][0])(data, cfg.family, **k_arg, **cfg.screen_options)
 
 
 def run_pipeline(data: TrialDataset, cfg: PipelineConfig) -> InteractionTest:
@@ -281,21 +262,17 @@ def validate_theorem(
         raise DataError("theorem validation requires an H0 spec (zero interaction effects)")
     family = spec.family
     k_screen = min(3, spec.p) if screen_k is None else screen_k
-    projection = None
     if projected:
         ref = generate_trial(replace(spec, seed=derive_seed(seed, 2**30)))
-        res = compute_pca(ref.x_candidates, standardize=True)
-        projection = res.loadings / res.scale[:, None]
+        pca_map = scr.screen_pca_single_stage(ref, family)
 
     def one(d):
-        if projection is not None:
-            names = tuple(f"proj{i + 1}" for i in range(projection.shape[1]))
-            d = d.with_candidates(d.x_candidates @ projection, names)
-        add_fit = glm.fit(glm.build_additive_design(d), d.y, family)
+        if projected:
+            d = scr.stage2_dataset(d, pca_map)
+        screen = scr.rank_full_model(d, family, k_screen)  # K is capped at p
         alt_fit = glm.fit(glm.build_interaction_design(d), d.y, family)
-        betas = add_fit.wald_z(d.p)
+        betas = screen.additive_fit.wald_z(d.p)
         diffs = glm.standardized_arm_difference(alt_fit, d.p)
-        screen = scr._rank_additive_fit(add_fit, d.p, min(k_screen, d.p))
         p_screened = test_interaction(d, family, screen).p_raw
         return betas, diffs, p_screened
 

@@ -107,16 +107,11 @@ def _wald_pvalues(fit: glm.GlmFit, p: int):
 def rank_full_model(data: TrialDataset, family: Family, k: int | None = None) -> ScreeningResult:
     """Order candidates by the Wald p-value of their pooled main effect."""
     fit = glm.fit(glm.build_additive_design(data), data.y, family)
-    return _rank_additive_fit(fit, data.p, k)
-
-
-def _rank_additive_fit(fit: glm.GlmFit, p: int, k: int | None) -> ScreeningResult:
-    """The full-model screen of an already fitted additive model with p candidates."""
-    pvalues = _wald_pvalues(fit, p)
+    pvalues = _wald_pvalues(fit, data.p)
     result = ScreeningResult(
         method="full_model",
         ranking=_order_by_pvalue(pvalues),
-        k_selected=_clamp_k(k, p),
+        k_selected=_clamp_k(k, data.p),
         substage_trace={"p_values": pvalues},
     )
     object.__setattr__(result, "additive_fit", fit)

@@ -562,6 +562,27 @@ def test_cli_power_study_and_missing_methods(tmp_path, capsys):
     assert "methods" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec_family, method_family", [("gaussian", "binomial"),
+                                                         ("binomial", "gaussian")])
+def test_cli_power_study_refuses_a_method_family_other_than_the_spec(
+        tmp_path, capsys, spec_family, method_family):
+    # Every replicate is drawn from the spec, so such a method could only fail them all.
+    cfg = {**_POWER, "spec": {**_POWER["spec"], "family": spec_family},
+           "methods": [_POWER["methods"][0], {**_POWER["methods"][0], "label": "other",
+                                              "family": method_family}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.json"
+    assert cli.main(["power-study", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"].startswith("methods[1]: config field 'family'")
+    assert not out.exists()
+
+    cfg["methods"][1]["family"] = spec_family.upper()  # the spec's own family, named again
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["power-study", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
 def test_cli_full_workflow_with_adjusters_and_null_correction(tmp_path):
     gen = {"spec": {
         "family": "gaussian", "n": 200, "p": 4,

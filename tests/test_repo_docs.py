@@ -1,6 +1,7 @@
 """Repository hygiene: the README names only paths that exist, the
-dependencies pyproject.toml declares and the CLI's own subcommands, and every
-committed scenario parses as a power-study config."""
+dependencies pyproject.toml declares, the CLI's own subcommands and the
+config's own screening methods, and every committed scenario parses as a
+power-study config."""
 
 import json
 import pathlib
@@ -9,7 +10,7 @@ import re
 import pytest
 
 from tehscreen import cli
-from tehscreen.config import load_study
+from tehscreen.config import SCREENS, load_study
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOP_DIRS = ("src", "scenarios", "tests", "perfbench", "scripts")
@@ -58,3 +59,9 @@ def test_readme_names_every_cli_command_and_no_other():
     named = set(re.findall(r"(?:^|`)tehscreen ([a-z]+(?:-[a-z]+)*)", text, re.MULTILINE))
     subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
     assert named == set(subparsers.choices)
+
+
+def test_readme_names_every_screening_method_and_no_other():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    row = re.search(r"^\| `screening\.method` \|.*\|(.*)\|$", text, re.MULTILINE)
+    assert sorted(re.findall(r"`(\w+)`", row.group(1))) == sorted(SCREENS)

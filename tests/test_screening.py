@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -294,6 +295,55 @@ def test_supervised_pc_lasso_follows_include_treatment(monkeypatch, screening):
     })
     ts.run_pipeline(ts.generate_trial(h0_spec(5)), cfg)
     assert seen and not any(seen)
+
+
+# every screening option: (its sub-block of the config's screening block, or None,
+# and a value other than its config default)
+_SCREEN_OPTIONS = {
+    "supervised": (None, True), "ml": (None, "lasso"), "pc_rank": (None, "supervised"),
+    "include_treatment": (None, False), "n_trees": ("boosting", 40),
+    "shrinkage": ("boosting", 0.2), "ri_threshold": ("boosting", 5.0),
+    "n_lambda": ("lasso", 30), "standardize": ("pca", False),
+}
+
+
+def _screen_view(res):
+    projection = None if res.projection is None else res.projection.tobytes()
+    return res.method, res.ranking, res.k_selected, projection, res.substage_trace
+
+
+@pytest.mark.parametrize("method, function, kept", [
+    ("full_model", "rank_full_model", ()),
+    ("univariate", "rank_univariate", ()),
+    ("lasso", "rank_lasso", ()),
+    ("pca", "screen_pca_single_stage", ()),
+    ("multi_stage", "screen_multi_stage", ("ml",)),  # boosting Substage I
+    ("multi_stage", "screen_multi_stage", ()),  # lasso Substage I
+    ("irm", "irm_risk_projection", ()),
+], ids=["full_model", "univariate", "lasso", "pca", "multi_stage-boosting",
+        "multi_stage-lasso", "irm"])
+def test_every_screening_option_reaches_its_screen(method, function, kept):
+    # Each option the screening function takes, set away from its default in the
+    # config, reaches the function; an option it does not take changes nothing.
+    screen = getattr(ts.screening, function)
+    takes = [name for name in inspect.signature(screen).parameters if name in _SCREEN_OPTIONS]
+    options = {name: _SCREEN_OPTIONS[name][1] for name in takes if name not in kept}
+    d = ts.generate_trial(h0_spec(11, n=200, p=5, main=(1.0, 0.6, 0.0, 0.3, 0.0)))
+    k = {} if method == "irm" else {"k": 2}
+    direct = _screen_view(screen(d, ts.GAUSSIAN, **k, **options))
+
+    def configured(extra):
+        block = {"method": method}
+        for name, value in {**options, **extra}.items():
+            sub = _SCREEN_OPTIONS[name][0]
+            (block.setdefault(sub, {}) if sub else block)[name] = value
+        cfg = ts.PipelineConfig.from_dict(
+            {"family": "gaussian", "k_rule": {"rule": "fixed", "k": 2}, "screening": block})
+        return _screen_view(ts.inference.run_screening(d, cfg, 2))
+
+    assert configured({}) == direct
+    for name in sorted(_SCREEN_OPTIONS.keys() - set(takes)):
+        assert configured({name: _SCREEN_OPTIONS[name][1]}) == direct, name
 
 
 def test_multi_stage_supervised_pc_rank_targets_outcome_aligned_pc():

@@ -15,10 +15,8 @@ from .errors import CsvParseError, DataError, DegenerateDesignError
 from .families import GAUSSIAN, Family
 
 
-def _freeze(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+_BLOCKS = {"y": float, "treatment": int, "x_candidates": float, "x_adjust": float}
+_NAMES = {"x_candidates": "candidate_names", "x_adjust": "adjust_names"}
 
 
 @dataclass(frozen=True)
@@ -36,9 +34,10 @@ class TrialDataset:
     x_adjust : (n, p_c) float array
         Covariates adjusted for but never tested for interaction (p_c may be 0).
 
-    Blocks are frozen (read-only) and checked on construction. A derived dataset
-    (``with_*``) freezes and checks only the block it replaces, plus the row
-    counts and the names, and shares its parent's other blocks.
+    Each block is a read-only copy of what it was given, checked on
+    construction; the caller's arrays stay writable and later writes to them
+    do not reach the dataset. :meth:`derive` copies and checks only the blocks
+    it replaces, plus the row counts and the names, and shares the rest.
     """
 
     y: np.ndarray
@@ -49,15 +48,16 @@ class TrialDataset:
     adjust_names: tuple = ()
 
     def __post_init__(self):
-        if np.size(self.x_adjust) == 0:
-            object.__setattr__(self, "x_adjust", np.empty((np.shape(self.y)[0], 0)))
-        self._check(("y", "treatment", "x_candidates", "x_adjust"))
+        self._check(_BLOCKS)
 
     def _check(self, blocks):
-        """Freeze and check the named blocks, then the row counts and the names."""
-        for name in blocks:
-            a = np.asarray(getattr(self, name), dtype=int if name == "treatment" else float)
-            object.__setattr__(self, name, _freeze(np.atleast_2d(a) if name.startswith("x_") else a))
+        """Copy, freeze and check the named blocks, then the row counts and the names."""
+        if "x_adjust" in blocks and np.size(self.x_adjust) == 0:
+            object.__setattr__(self, "x_adjust", np.empty((np.shape(self.y)[0], 0)))
+        for name in [b for b in _BLOCKS if b in blocks]:
+            a = np.array(getattr(self, name), _BLOCKS[name], order="C", ndmin=2 * name.startswith("x_"))
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         y, t, xs, xc = self.y, self.treatment, self.x_candidates, self.x_adjust
         n = y.shape[0]
         if t.shape != (n,) or xs.shape[0] != n or xc.shape[0] != n:
@@ -92,21 +92,19 @@ class TrialDataset:
     def p_c(self):
         return self.x_adjust.shape[1]
 
-    def _derive(self, block, value, **names):
+    def derive(self, **blocks):
+        """This dataset with the given fields replaced, as :func:`dataclasses.replace`
+        gives it; a new covariate block needs its names (``()`` gives the defaults)."""
+        unknown = sorted(blocks.keys() - vars(self).keys())
+        if unknown:
+            raise TypeError(f"derive() got unexpected field(s) {unknown}")
+        for block, names in _NAMES.items():
+            if block in blocks and names not in blocks:
+                raise TypeError(f"derive({block}=...) needs {names}; () gives the defaults")
         derived = object.__new__(type(self))
-        vars(derived).update(vars(self), **{block: value}, **names)
-        derived._check((block,))
+        vars(derived).update(vars(self), **blocks)
+        derived._check(blocks.keys())
         return derived
-
-    def with_candidates(self, x_new, names):
-        """Derived dataset with the candidate block replaced (same y/arm/adjusters)."""
-        return self._derive("x_candidates", x_new, candidate_names=tuple(names))
-
-    def with_outcome(self, y_new):
-        return self._derive("y", y_new)
-
-    def with_treatment(self, t_new):
-        return self._derive("treatment", t_new)
 
 
 MAX_N = 10**6  # largest synthetic trial
@@ -265,44 +263,31 @@ def load_csv(path, outcome_col, treatment_col, adjust_cols=()) -> TrialDataset:
 
     def parse(row_cells, row_number, col_name):
         cell = row_cells[index[col_name]].strip()
-        if cell == "":
-            raise CsvParseError(
-                f"{path}: empty cell at row {row_number}, column {col_name!r}",
-                row=row_number, column=col_name,
-            )
         try:
             value = float(cell)
         except ValueError:
-            raise CsvParseError(
-                f"{path}: cannot parse {cell!r} at row {row_number}, column {col_name!r}",
-                row=row_number, column=col_name,
-            ) from None
-        if not np.isfinite(value):
-            raise CsvParseError(
-                f"{path}: non-finite value at row {row_number}, column {col_name!r}",
-                row=row_number, column=col_name,
-            )
+            value = None
+        if value is None or not np.isfinite(value):
+            defect = ("empty cell" if cell == "" else f"cannot parse {cell!r}" if value is None
+                      else "non-finite value")
+            raise CsvParseError(f"{path}: {defect} at row {row_number}, column {col_name!r}",
+                                row=row_number, column=col_name)
         return value
 
-    y = np.empty(n)
-    t = np.empty(n)
-    xs = np.empty((n, len(candidate_names)))
-    xc = np.empty((n, len(adjust_cols)))
+    roles = [outcome_col, treatment_col, *candidate_names, *adjust_cols]  # the columns of values
+    values = np.empty((n, len(roles)))
     for i, cells in enumerate(rows):
         row_number = i + 2  # 1-based, counting the header
         if len(cells) != len(header):
             raise CsvParseError(f"{path}: row {row_number} has {len(cells)} cells, expected {len(header)}")
-        y[i] = parse(cells, row_number, outcome_col)
-        t[i] = parse(cells, row_number, treatment_col)
-        for j, name in enumerate(candidate_names):
-            xs[i, j] = parse(cells, row_number, name)
-        for j, name in enumerate(adjust_cols):
-            xc[i, j] = parse(cells, row_number, name)
+        for j, name in enumerate(roles):
+            values[i, j] = parse(cells, row_number, name)
 
-    if not np.all(np.isin(t, (0.0, 1.0))):
+    if not np.all(np.isin(values[:, 1], (0.0, 1.0))):
         raise DataError(f"{path}: treatment column {treatment_col!r} must contain only 0 and 1")
+    end = 2 + len(candidate_names)
     return TrialDataset(
-        y=y, treatment=t.astype(int), x_candidates=xs, x_adjust=xc,
+        y=values[:, 0], treatment=values[:, 1], x_candidates=values[:, 2:end], x_adjust=values[:, end:],
         candidate_names=tuple(candidate_names), adjust_names=tuple(adjust_cols),
     )
 

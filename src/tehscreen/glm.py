@@ -234,8 +234,10 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) 
     the design's width, when given (the gaussian step ignores it); from a
     converged fit it stops after one step. Without one it starts at
     ``family.initial_mu``, which no coefficient vector attains, so its first
-    step is taken whole. Perfect separation is reported as an error rather
-    than returned as a silently diverged fit.
+    step is taken whole. Perfect separation is reported as a SeparationError
+    rather than returned as a silently diverged fit: a binomial fit whose
+    deviance ends below 1e-6, or whose coefficients pass SEPARATION_NORM
+    without converging.
     """
     X = design.matrix
     y = np.asarray(y, dtype=float)
@@ -298,16 +300,15 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) 
             f"IRLS did not converge in {max_iter} iterations",
             last_coefficients=beta, iterations=iterations,
         )
-    if family is not GAUSSIAN:
-        # Probability clipping pins the likelihood before the coefficient norm
-        # can blow up, so a separated fit surfaces as a saturated, perfectly
-        # fitting model rather than a norm > SEPARATION_NORM stall.
-        saturated = float(np.max(np.abs(eta))) > 30.0
-        if saturated and -2.0 * ll < 1e-6:  # the binomial deviance
-            raise SeparationError(
-                "perfect separation: every observation fitted at a saturated probability",
-                last_coefficients=beta, iterations=iterations,
-            )
+    # A binomial deviance this small fits every observation at about 0 or 1,
+    # which only a separated design allows (Albert & Anderson 1984). The stop
+    # rule halts such a fit at a finite |eta|, well before the coefficient norm
+    # reaches SEPARATION_NORM.
+    if family is not GAUSSIAN and -2.0 * ll < 1e-6:
+        raise SeparationError(
+            "perfect separation: every observation fitted at a saturated probability",
+            last_coefficients=beta, iterations=iterations,
+        )
 
     if not steady:
         gram = _gram(X, w, design.arms)

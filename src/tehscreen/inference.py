@@ -192,10 +192,10 @@ def simulate_null(data: TrialDataset, cfg: PipelineConfig, seed: int) -> NullDis
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         t_new = rng.permutation(data.treatment)
         if method == "permutation":
-            return data.with_treatment(t_new)
+            return data.derive(treatment=t_new)
         eta = eta_base + np.where(t_new == 1, a_A, a_B)
         y_new = family.sample(eta, sigma, rng)
-        return data.with_outcome(y_new).with_treatment(t_new)
+        return data.derive(y=y_new, treatment=t_new)
 
     rows, failures = _run_replicates(reps, draw, {None: lambda d: run_pipeline(d, cfg).p_raw})
     _abort_above(0.05, failures, reps, NullSimulationError, "null")

@@ -188,7 +188,7 @@ def screen_pca_single_stage(
     res = compute_pca(data.x_candidates, standardize=standardize)
     raw_projection = res.loadings / res.scale[:, None]
     if supervised:
-        pc_data = data.with_candidates(res.scores, tuple(f"PC{i + 1}" for i in range(res.m)))
+        pc_data = data.derive(x_candidates=res.scores, candidate_names=())
         ranking = rank_lasso(
             pc_data, family, include_treatment=include_treatment, n_lambda=n_lambda
         ).ranking
@@ -248,7 +248,7 @@ def screen_multi_stage(
 
     subset = selected or list(range(data.p))
     names = [data.candidate_names[j] for j in subset]
-    sub = data.with_candidates(data.x_candidates[:, subset], names)
+    sub = data.derive(x_candidates=data.x_candidates[:, subset], candidate_names=names)
     pca = screen_pca_single_stage(
         sub, family, pc_rank == "supervised", k, standardize, n_lambda, include_treatment
     )
@@ -312,11 +312,10 @@ def stage2_dataset(data: TrialDataset, screening: ScreeningResult) -> TrialDatas
     if screening.projection is not None:
         xk = data.x_candidates @ screening.projection
         names = tuple(f"{screening.method}_{i + 1}" for i in range(xk.shape[1]))
-        return data.with_candidates(xk, names)
+        return data.derive(x_candidates=xk, candidate_names=names)
     chosen = screening.selected
-    return data.with_candidates(
-        data.x_candidates[:, chosen], tuple(data.candidate_names[j] for j in chosen)
-    )
+    names = tuple(data.candidate_names[j] for j in chosen)
+    return data.derive(x_candidates=data.x_candidates[:, chosen], candidate_names=names)
 
 
 def _clamp_k(k, p):

@@ -261,8 +261,8 @@ def test_criterion_7_numerical_oracles():
             n=150, p=3, family=family, main_effects=(0.7, 0.4, 0.0),
             treatment_effect=0.4, seed=seed,
         ))
-        scaled = dd.with_candidates(dd.x_candidates * np.array([10.0, 1.0, 1.0]),
-                                    dd.candidate_names)
+        scaled = dd.derive(x_candidates=dd.x_candidates * np.array([10.0, 1.0, 1.0]),
+                           candidate_names=dd.candidate_names)
         stats = []
         for data in (dd, scaled):
             nf = ts.fit(ts.build_additive_design(data), data.y, family)

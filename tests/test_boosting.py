@@ -133,7 +133,7 @@ def _search_trial(family, n, seed, variant):
     elif variant == "constant-and-duplicate":
         x[:, 3] = 1.5
         x[:, 4] = x[:, 0]
-    return d.with_candidates(x, d.candidate_names)
+    return d.derive(x_candidates=x, candidate_names=d.candidate_names)
 
 
 @pytest.mark.parametrize("variant", ["plain", "adjusters", "tied", "constant-and-duplicate"])
@@ -248,9 +248,9 @@ def test_influence_invariant_to_monotone_rescaling():
         treatment_effect=0.4, seed=5,
     )
     d = ts.generate_trial(spec)
-    rescaled = d.with_candidates(
-        d.x_candidates * np.array([2.0, 1.0, 1.0]) + np.array([5.0, 0.0, 0.0]),
-        d.candidate_names,
+    rescaled = d.derive(
+        x_candidates=d.x_candidates * np.array([2.0, 1.0, 1.0]) + np.array([5.0, 0.0, 0.0]),
+        candidate_names=d.candidate_names,
     )
     a = ts.fit_boost(d, ts.GAUSSIAN, n_trees=80, shrinkage=0.1)
     b = ts.fit_boost(rescaled, ts.GAUSSIAN, n_trees=80, shrinkage=0.1)

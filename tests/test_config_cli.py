@@ -221,6 +221,32 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "SeparationError"
 
 
+def test_cli_exits_4_when_a_candidate_separates_the_outcome(tmp_path, capsys):
+    # The last candidate is 2y - 1. The IRLS stop rule halts its fit at a
+    # finite |eta|, where the deviance is already ~0: a separation, not a fit.
+    d = ts.generate_trial(ts.SyntheticSpec(n=200, p=3, family=ts.BINOMIAL,
+                                           main_effects=(0.8, -0.5, 0.3),
+                                           treatment_effect=0.3, seed=11))
+    x = np.column_stack([d.x_candidates, 2.0 * d.y - 1.0])
+    d = ts.TrialDataset(y=d.y, treatment=d.treatment, x_candidates=x, x_adjust=d.x_adjust)
+    data_path = tmp_path / "sep.csv"
+    ts.write_csv(d, data_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_cfg(family="binomial")))
+    out = tmp_path / "o.json"
+    rc = cli.main(["analyze", "--config", str(cfg_path), "--data", str(data_path),
+                   "--out", str(out)])
+    assert rc == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "SeparationError"
+    assert not out.exists()
+
+
+def test_report_json_maps_a_non_finite_numpy_scalar_to_null():
+    payload = {"a": np.float64("nan"), "b": [np.float32("inf"), np.float64(0.5), np.int64(3)]}
+    assert cli._jsonable(payload) == {"a": None, "b": [None, 0.5, 3]}
+    json.dumps(cli._jsonable(payload), allow_nan=False)
+
+
 def test_config_rejects_out_of_range_hyperparameters():
     with pytest.raises(ConfigError, match="shrinkage"):
         PipelineConfig.from_dict(minimal_cfg(
@@ -256,6 +282,34 @@ def test_cli_sweep_k_rows_and_shared_stage1(toy_run):
     csv_path = tmp_path / "sweep.csv"
     assert csv_path.exists()
     assert csv_path.read_text().count("\n") == 4  # header + 3 rows
+
+
+@pytest.mark.parametrize("screening", [
+    {"method": "pca"},
+    {"method": "multi_stage", "boosting": {"n_trees": 100}},
+])
+def test_cli_sweep_k_on_a_projection_screen_matches_each_fixed_k(tmp_path, screening):
+    spec = ts.SyntheticSpec(n=300, p=6, main_effects=(0.8, 0.5, 0, 0, 0, 0),
+                            interaction_effects=(0.3, 0, 0, 0, 0, 0), treatment_effect=0.3,
+                            seed=5)
+    data_path = tmp_path / "data.csv"
+    ts.write_csv(ts.generate_trial(spec), data_path)
+    cfg = minimal_cfg(screening=screening)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "sweep.json"
+    rc = cli.main(["sweep-k", "--config", str(cfg_path), "--data", str(data_path),
+                   "--out", str(out), "--k-values", "1,2,3,4,5,6"])
+    assert rc == 0
+    table = _read(out)["table"]
+    data = ts.load_csv(data_path, "y", "treatment")
+    for k, row in zip(range(1, 7), table):
+        fixed = PipelineConfig.from_dict({**cfg, "k_rule": {"rule": "fixed", "k": k}})
+        assert row["p_raw"] == ts.run_pipeline(data, fixed).p_raw
+    if screening["method"] == "multi_stage":  # boosting keeps M = 3 candidates
+        assert [row["df"] for row in table] == [1, 2, 3, 3, 3, 3]
+    else:
+        assert [row["df"] for row in table] == [1, 2, 3, 4, 5, 6]
 
 
 def test_cli_sweep_k_rejects_irm(toy_run, tmp_path):

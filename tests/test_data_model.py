@@ -85,9 +85,29 @@ def test_load_csv_ignores_a_byte_order_mark(tmp_path):
     assert np.array_equal(d.y, [1.5, 2.0])
 
 
+@pytest.mark.parametrize("lines, error, message, row", [
+    ([], CsvParseError, "file is empty; a header row is required", None),
+    (["y,trt,age"], CsvParseError, "no data rows", None),
+    (["y,trt,age", "1,1,40", "2,0", "3,1,33"], CsvParseError,
+     "row 3 has 2 cells, expected 3", None),
+    (["y,trt,age", "1,1,40", "2,0,55", "3,2,33"], DataError,
+     "treatment column 'trt' must contain only 0 and 1", None),
+    (["y,trt,age", "1,1,40", "2,0,55", "x,1,33"], CsvParseError,
+     "cannot parse 'x' at row 4, column 'y'", 4),
+])
+def test_load_csv_names_the_file_and_row_of_each_defect(tmp_path, lines, error, message, row):
+    f = tmp_path / "trial.csv"
+    f.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        ts.load_csv(f, "y", "trt", [])
+    assert type(err.value) is error
+    assert str(err.value) == f"{f}: {message}"
+    assert getattr(err.value, "row", None) == row
+
+
 def test_write_csv_refuses_repeated_column_names(tmp_path):
     d = ts.generate_trial(ts.SyntheticSpec(n=20, p=2, seed=1))
-    d = d.with_candidates(d.x_candidates, ("y", "x2"))
+    d = d.derive(x_candidates=d.x_candidates, candidate_names=("y", "x2"))
     with pytest.raises(DataError, match="repeat"):
         ts.write_csv(d, tmp_path / "trial.csv")
     assert not (tmp_path / "trial.csv").exists()
@@ -226,6 +246,40 @@ def test_dataset_arrays_are_immutable():
         d.y[0] = 99.0
 
 
+def test_dataset_copies_the_callers_arrays_and_leaves_them_writable():
+    y, t = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1, 0, 1, 0])
+    x, c = np.arange(8.0).reshape(4, 2), np.ones((4, 1))
+    d = ts.TrialDataset(y=y, treatment=t, x_candidates=x, x_adjust=c)
+    y2, x2 = y + 10.0, x[:, :1] * 2.0
+    e = d.derive(y=y2, x_candidates=x2, candidate_names=("z",))
+    before = [a.copy() for a in (d.y, d.treatment, d.x_candidates, d.x_adjust, e.y, e.x_candidates)]
+    for a in (y, t, x, c, y2, x2):
+        assert a.flags.writeable
+        a[0] = 7
+    after = [d.y, d.treatment, d.x_candidates, d.x_adjust, e.y, e.x_candidates]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_derive_refuses_an_unknown_field_and_a_block_without_its_names():
+    d = ts.generate_trial(ts.SyntheticSpec(n=20, p=2, seed=5))
+    with pytest.raises(TypeError, match="outcome"):
+        d.derive(outcome=d.y)
+    with pytest.raises(TypeError, match="candidate_names"):
+        d.derive(x_candidates=d.x_candidates)
+    assert d.derive(x_candidates=d.x_candidates[:, :1], candidate_names=()).candidate_names == ("x1",)
+    assert d.derive(x_adjust=(), adjust_names=()).x_adjust.shape == (d.n, 0)  # as the constructor
+
+
+def test_generate_trial_draws_alike_from_a_scalar_and_its_equicorrelation_matrix():
+    matrix = [[1.0 if i == j else 0.3 for j in range(4)] for i in range(4)]
+    spec = ts.SyntheticSpec(n=60, p=4, main_effects=(0.5, 0.2, 0.0, -0.4),
+                            covariate_correlation=0.3, seed=13)
+    a = ts.generate_trial(spec)
+    b = ts.generate_trial(dataclasses.replace(spec, covariate_correlation=matrix))
+    for name in ("y", "treatment", "x_candidates", "x_adjust"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def _adjusted_trial():
     return ts.generate_trial(ts.SyntheticSpec(n=20, p=3, adjust_effects=(0.2,), seed=5))
 
@@ -248,10 +302,10 @@ _BAD_BLOCKS = {
 
 def _derive(d, blocks):
     if "y" in blocks:
-        return d.with_outcome(blocks["y"])
+        return d.derive(y=blocks["y"])
     if "treatment" in blocks:
-        return d.with_treatment(blocks["treatment"])
-    return d.with_candidates(blocks["x_candidates"], blocks["candidate_names"])
+        return d.derive(treatment=blocks["treatment"])
+    return d.derive(x_candidates=blocks["x_candidates"], candidate_names=blocks["candidate_names"])
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_BLOCKS))
@@ -270,9 +324,9 @@ def test_derived_dataset_rejects_a_bad_block_like_the_constructor(case):
 def test_derived_dataset_freezes_its_new_block_and_shares_the_rest():
     d = _adjusted_trial()
     derived = {
-        "y": d.with_outcome(d.y + 1.0),
-        "treatment": d.with_treatment(1 - d.treatment),
-        "x_candidates": d.with_candidates(d.x_candidates[:, :2], ("a", "b")),
+        "y": d.derive(y=d.y + 1.0),
+        "treatment": d.derive(treatment=1 - d.treatment),
+        "x_candidates": d.derive(x_candidates=d.x_candidates[:, :2], candidate_names=("a", "b")),
     }
     for replaced, e in derived.items():
         for name in ("y", "treatment", "x_candidates", "x_adjust"):

@@ -57,6 +57,6 @@ def test_boost_initial_value_matches_inline_formula(family, binomial, outcome):
     d = ts.generate_trial(ts.SyntheticSpec(n=40, p=2, family=ts.BINOMIAL, main_effects=(1.0, 0.0),
                                            seed=5))
     y = {"zeros": np.zeros(d.n), "ones": np.ones(d.n), "mixed": d.y}[outcome]
-    model = ts.fit_boost(d.with_outcome(y), family, n_trees=3, shrinkage=0.1)
+    model = ts.fit_boost(d.derive(y=y), family, n_trees=3, shrinkage=0.1)
     assert model.initial_value == inline_boost_initial_value(binomial, y)
     assert np.isfinite(model.initial_value)

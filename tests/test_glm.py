@@ -132,7 +132,8 @@ def test_interaction_design_masks_by_arm():
 def test_design_builders_match_the_column_by_column_oracle(interaction, duplicate):
     d = toy_dataset(n=80, p=4, p_c=2, seed=3)
     if duplicate:  # candidate 4 copies candidate 1, so its columns drop
-        d = d.with_candidates(np.column_stack([d.x_candidates, d.x_candidates[:, 1]]), ())
+        d = d.derive(x_candidates=np.column_stack([d.x_candidates, d.x_candidates[:, 1]]),
+                     candidate_names=())
     design = (ts.build_interaction_design if interaction else ts.build_additive_design)(d)
     matrix, origin = design_columns(d, interaction=False)
     if interaction:  # the additive layout plus candidate j times t, column by column
@@ -183,7 +184,7 @@ def test_interaction_design_pc1_loading_gives_pc1_scores():
 def test_interaction_design_empty_selection_rejected():
     d = toy_dataset()
     with pytest.raises(DataError, match="empty selection"):
-        ts.build_interaction_design(d.with_candidates(np.empty((d.n, 0)), ()))
+        ts.build_interaction_design(d.derive(x_candidates=np.empty((d.n, 0)), candidate_names=()))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +333,7 @@ def _rank_fixture(family, fixture):
         x[d.treatment == 1, 1] = 0.7
     else:
         x[:, 2] = 1.5
-    return d.with_candidates(x, ())
+    return d.derive(x_candidates=x, candidate_names=())
 
 
 @pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
@@ -399,6 +400,28 @@ def test_a_start_at_the_optimum_takes_one_step_without_halving_at_large_n():
     assert warm.iterations == 1
     assert len(calls) == 2  # the start and one whole step
     assert warm.log_likelihood == pytest.approx(cold.log_likelihood, rel=1e-12)
+
+
+def test_binomial_fit_halves_a_step_that_loses_likelihood():
+    # From start = -2 the whole Newton step overshoots, so some steps are
+    # halved; the fit still reaches the cold fit's optimum.
+    d = ts.generate_trial(ts.SyntheticSpec(n=200, p=3, family=ts.BINOMIAL,
+                                           main_effects=(0.8, -0.5, 0.3),
+                                           treatment_effect=0.3, seed=11))
+    design = ts.build_additive_design(d)
+    cold = ts.fit(design, d.y, ts.BINOMIAL)
+    real = families.Binomial.log_likelihood
+    calls = []
+
+    def counted(self, y, mu):
+        calls.append(1)
+        return real(self, y, mu)
+
+    with mock.patch.object(families.Binomial, "log_likelihood", counted):
+        warm = ts.fit(design, d.y, ts.BINOMIAL, start=-2.0 * np.ones(design.matrix.shape[1]))
+    assert len(calls) > warm.iterations + 1  # the start, one per step, and the halvings
+    assert warm.log_likelihood == pytest.approx(cold.log_likelihood, rel=1e-12)
+    assert np.allclose(warm.coefficients, cold.coefficients, rtol=0.0, atol=1e-9)
 
 
 def test_gaussian_fit_ignores_a_start():
@@ -527,8 +550,9 @@ def test_lrt_gaussian_closed_form():
 def test_lrt_invariant_under_column_rescaling():
     for family, seed in ((ts.GAUSSIAN, 30), (ts.BINOMIAL, 31)):
         d = toy_dataset(n=150, p=3, family=family, seed=seed)
-        scaled = d.with_candidates(
-            d.x_candidates * np.array([10.0, 1.0, 1.0]), d.candidate_names
+        scaled = d.derive(
+            x_candidates=d.x_candidates * np.array([10.0, 1.0, 1.0]),
+            candidate_names=d.candidate_names,
         )
         stats = []
         for data in (d, scaled):
@@ -621,7 +645,8 @@ def test_arm_difference_equals_the_scalar_loop(family, duplicate):
     for p_c in (0, 1):
         d = toy_dataset(n=200, p=3, p_c=p_c, family=family, seed=9)
         if duplicate:  # candidate 3 copies candidate 0, so coordinate 3 is NaN
-            d = d.with_candidates(np.column_stack([d.x_candidates, d.x_candidates[:, 0]]), ())
+            d = d.derive(x_candidates=np.column_stack([d.x_candidates, d.x_candidates[:, 0]]),
+                         candidate_names=())
         null_fit = ts.fit(ts.build_additive_design(d), d.y, family)
         fit = ts.fit(ts.build_interaction_design(d), d.y, family)
         matrix, origin = design_columns(d, interaction=True)
@@ -674,7 +699,7 @@ def test_candidate_constant_in_one_arm_loses_its_contrast(family):
     d = toy_dataset(n=200, p=3, family=family, seed=12)
     x = d.x_candidates.copy()
     x[d.treatment == 1, 1] = 0.7
-    d = d.with_candidates(x, d.candidate_names)
+    d = d.derive(x_candidates=x, candidate_names=d.candidate_names)
     screen = ts.ScreeningResult(method="full_model", ranking=(0, 1, 2), k_selected=3)
     alt_fit = ts.fit(ts.build_interaction_design(d), d.y, family)
     assert alt_fit.role("contrast")[0] == (0, 2)

@@ -234,7 +234,8 @@ def test_path_matches_residual_coordinate_descent_oracle(family, include_treatme
     d = _trial(family, seed=21)
     if candidates == "pca_scores":
         scores = ts.compute_pca(d.x_candidates).scores
-        d = d.with_candidates(scores, tuple(f"PC{i + 1}" for i in range(scores.shape[1])))
+        names = tuple(f"PC{i + 1}" for i in range(scores.shape[1]))
+        d = d.derive(x_candidates=scores, candidate_names=names)
     path = ts.fit_path(d, family, include_treatment=include_treatment, n_lambda=40)
     betas, alphas, order, _ = _oracle_path(d, family, path)
     for beta, beta_o in zip(path.coefficients_std_per_lambda, betas):

@@ -44,7 +44,8 @@ def test_full_model_pvalues_equal_scalar_norm_sf_oracle(family):
 
     d = ts.generate_trial(h0_spec(11, n=300, p=5, family=family, main=(0.8, 0.4, 0.2, 0.0, 0.0)))
     x = d.x_candidates
-    d = d.with_candidates(np.column_stack([x, x[:, 1]]), (*d.candidate_names, "dup"))
+    d = d.derive(x_candidates=np.column_stack([x, x[:, 1]]),
+                 candidate_names=(*d.candidate_names, "dup"))
     design = ts.build_additive_design(d)
     fit = ts.fit(design, d.y, family)
     column = {o[1]: k for k, o in enumerate(design.origin)
@@ -86,8 +87,8 @@ def test_univariate_ranks_strong_before_null():
 
 def test_univariate_duplicate_candidates_tiebreak_by_index():
     d = ts.generate_trial(h0_spec(7, n=200, p=1, main=(1.0,)))
-    dup = d.with_candidates(
-        np.hstack([d.x_candidates, d.x_candidates]), ("a", "b")
+    dup = d.derive(
+        x_candidates=np.hstack([d.x_candidates, d.x_candidates]), candidate_names=("a", "b")
     )
     res = ts.rank_univariate(dup, ts.GAUSSIAN)
     assert res.ranking == (0, 1)
@@ -108,6 +109,20 @@ def test_univariate_candidate_equal_to_adjuster_ranks_last():
     res = ts.rank_univariate(d, ts.GAUSSIAN)
     assert res.ranking == (0, 1)
     assert res.substage_trace["p_values"][1] == 1.0
+
+
+def test_univariate_records_a_separating_candidate_as_a_failure():
+    # Candidate 0 is 2y - 1, which separates the binomial outcome completely.
+    d = ts.generate_trial(ts.SyntheticSpec(n=200, p=3, family=ts.BINOMIAL,
+                                           main_effects=(0.8, -0.5, 0.3),
+                                           treatment_effect=0.3, seed=11))
+    d = d.derive(x_candidates=np.column_stack([2.0 * d.y - 1.0, d.x_candidates]),
+                 candidate_names=())
+    res = ts.rank_univariate(d, ts.BINOMIAL)
+    assert res.ranking[-1] == 0
+    assert res.substage_trace["p_values"][0] is None
+    assert [f["candidate"] for f in res.substage_trace["failures"]] == [0]
+    assert "perfect separation" in res.substage_trace["failures"][0]["error"]
 
 
 def test_rank_lasso_delegates_to_entry_order():

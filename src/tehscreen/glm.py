@@ -34,11 +34,25 @@ is aliased with; drops are recorded, never silent. When contrasts are
 aliased with each other, column order decides which of them drops, so the
 per-coordinate split of such a set is a convention, not a statistic.
 
-One layout: a design keeps every column it was built from, and its
-``dropped_columns`` and a fit's index that layout; a fit starts from the
-columns the design kept. IRLS stops, in either family, when a step leaves
-the working weights unchanged (the gaussian step always does) or the
-log-likelihood moves by at most LOGLIK_RTOL relative.
+One layout: a design keeps every column it was built from, in the order
+below, and its ``dropped_columns`` and a fit's index that layout; a fit
+starts from the columns the design kept. Every reader takes columns by
+position, with p the dataset's candidates and p_c its adjusters:
+
+    additive        [candidates (p) | arm A | arm B | adjusters (p_c)]
+    interaction     [additive | contrasts (p)]
+    univariate      [arm A | arm B | adjusters (p_c) | candidate j]
+    blinded IRM     [candidates (p) | intercept]
+    lasso null fit  [intercept | treatment, if kept | adjusters (p_c)]
+
+So the candidates' Wald z is ``wald_z()[:p]``, the univariate candidate's
+``wald_z()[-1]`` and the contrasts' ``wald_z()[-p:]``, and the additive
+design is the interaction design's first p + 2 + p_c columns. Stage 2
+builds both from the screened dataset, whose p is K.
+
+IRLS stops, in either family, when a step leaves the working weights
+unchanged (the gaussian step always does) or the log-likelihood moves by at
+most LOGLIK_RTOL relative.
 """
 
 import math
@@ -64,11 +78,8 @@ SEPARATION_NORM = 1e4
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Design with per-column provenance, in the layout it was built in.
+    """Design columns in the layout of the module docstring.
 
-    ``origin[k]`` identifies what column ``k`` is: ("candidate", j),
-    ("arm_intercept", "A"|"B"), ("intercept",), ("adjust", j) or
-    ("contrast", j), candidate j times the arm-A indicator.
     ``dropped_columns`` are the columns rank repair drops; they stay in
     ``matrix`` and fits leave them out. ``arms`` is (row order with arm A
     first, arm-A row count, additive columns in that order) on every
@@ -76,7 +87,6 @@ class DesignMatrix:
     """
 
     matrix: np.ndarray
-    origin: tuple
     dropped_columns: tuple = ()
     arms: tuple = ()
 
@@ -99,27 +109,13 @@ class GlmFit:
     deviance: float
     iterations: int
     dropped_columns: tuple = ()
-    origin: tuple = ()
 
-    def role(self, name):
-        """Columns kept through the fit whose origin is ``(name, key)``.
-
-        Returns (keys, columns): ``keys[i]`` is the origin's key for column
-        ``columns[i]`` -- the candidate, contrast or adjuster index, or the
-        arm letter of an arm intercept.
-        """
-        dropped = set(self.dropped_columns)
-        pairs = [(o[1], k) for k, o in enumerate(self.origin)
-                 if o[0] == name and k not in dropped]
-        return tuple(key for key, _ in pairs), np.array([k for _, k in pairs], dtype=np.intp)
-
-    def wald_z(self, p, name="candidate"):
-        """Wald z = coefficient / SE by ``name`` index; NaN where the column is gone or SE is 0."""
-        keys, cols = self.role(name)
-        se = self.std_errors[cols]
-        ok = se > 0.0
-        z = np.full(p, np.nan)
-        z[np.asarray(keys, dtype=np.intp)[ok]] = self.coefficients[cols[ok]] / se[ok]
+    def wald_z(self):
+        """Wald z = coefficient / SE of every column, in the design's layout; NaN
+        where the SE is 0, as it is at every dropped column."""
+        ok = self.std_errors > 0.0
+        z = np.full(ok.shape, np.nan)
+        z[ok] = self.coefficients[ok] / self.std_errors[ok]
         return z
 
 
@@ -166,41 +162,34 @@ def _gram(X, w, arms=()):
     return gram
 
 
-def make_design(columns, origin, arm=None) -> DesignMatrix:
+def make_design(columns, arm=None) -> DesignMatrix:
     """Assemble a design from columns or column blocks and record what rank repair drops.
 
-    ``arm``, the 0/1 arm-A indicator, marks an interaction design: its
-    trailing ("contrast", j) columns are its leading columns times ``arm``.
+    ``arm``, the 0/1 arm-A indicator, marks an interaction design: its last
+    block, a 2-D array, is the contrast block, its leading columns times ``arm``.
     """
     matrix = np.column_stack(columns) if columns else np.empty((0, 0))
     arms = ()
     if arm is not None:
-        order = np.argsort(-arm, kind="stable")
-        arms = (order, int(arm.sum()), matrix[order, : sum(o[0] != "contrast" for o in origin)])
+        arm_a = np.flatnonzero(arm)
+        order = np.concatenate([arm_a, np.flatnonzero(arm == 0)])
+        arms = (order, arm_a.size, matrix[order, : matrix.shape[1] - columns[-1].shape[1]])
     kept = _kept_columns(_gram(matrix, None, arms))
     dropped = tuple(sorted(set(range(matrix.shape[1])).difference(kept)))
-    return DesignMatrix(matrix=matrix, origin=tuple(origin), dropped_columns=dropped, arms=arms)
+    return DesignMatrix(matrix=matrix, dropped_columns=dropped, arms=arms)
 
 
 def _arm_and_adjust_block(data: TrialDataset):
-    """The (columns, origin) of [arm-A intercept | arm-B intercept | adjusters]."""
+    """The columns of [arm-A intercept | arm-B intercept | adjusters]."""
     t = data.treatment.astype(float)
-    columns = [t, 1.0 - t, data.x_adjust]
-    origin = [("arm_intercept", arm) for arm in "AB"] + [("adjust", j) for j in range(data.p_c)]
-    return columns, origin
-
-
-def _additive_columns(data: TrialDataset):
-    """The (columns, origin) of the additive design before rank repair."""
-    columns, origin = _arm_and_adjust_block(data)
-    return [data.x_candidates] + columns, [("candidate", j) for j in range(data.p)] + origin
+    return [t, 1.0 - t, data.x_adjust]
 
 
 def build_additive_design(data: TrialDataset) -> DesignMatrix:
     """Main-effects design: [candidates | arm-A intercept | arm-B intercept | adjusters]."""
     if data.n < data.p + data.p_c + 2:
         raise DataError(f"n={data.n} too small for p={data.p}, p_c={data.p_c}")
-    return make_design(*_additive_columns(data))
+    return make_design([data.x_candidates] + _arm_and_adjust_block(data))
 
 
 def build_interaction_design(data: TrialDataset) -> DesignMatrix:
@@ -214,11 +203,9 @@ def build_interaction_design(data: TrialDataset) -> DesignMatrix:
         raise DataError("empty selection: the interaction design needs K >= 1 candidates")
     if data.n < 2 * k + data.p_c + 2:
         raise DataError(f"n={data.n} too small for K={k} candidates and their contrasts")
-    columns, origin = _additive_columns(data)
-    t = columns[1]
-    return make_design(
-        columns + [data.x_candidates * t[:, None]], origin + [("contrast", j) for j in range(k)], t
-    )
+    columns = _arm_and_adjust_block(data)
+    t = columns[0]
+    return make_design([data.x_candidates] + columns + [data.x_candidates * t[:, None]], t)
 
 
 def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) -> GlmFit:
@@ -331,7 +318,6 @@ def fit(design: DesignMatrix, y, family: Family, max_iter=MAX_ITER, start=None) 
         deviance=family.deviance(y, mu) if family is GAUSSIAN else -2.0 * ll,
         iterations=iterations,
         dropped_columns=tuple(sorted(set(range(q)).difference(keep))),
-        origin=design.origin,
     )
 
 
@@ -373,9 +359,8 @@ def standardized_arm_difference(interaction_fit: GlmFit, k: int) -> np.ndarray:
     Coordinates whose contrast column was dropped by rank repair come back as
     NaN; an exactly zero SE on a retained contrast column is an error.
     """
-    keys, cols = interaction_fit.role("contrast")
-    degenerate = interaction_fit.std_errors[cols] <= 0.0
-    if degenerate.any():
-        j = keys[np.argmax(degenerate)]
-        raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")
-    return interaction_fit.wald_z(k, "contrast")
+    first = interaction_fit.coefficients.shape[0] - k  # the contrasts come last
+    for j, se in enumerate(interaction_fit.std_errors[first:]):
+        if se <= 0.0 and first + j not in interaction_fit.dropped_columns:
+            raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")
+    return interaction_fit.wald_z()[first:]

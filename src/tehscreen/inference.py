@@ -24,7 +24,9 @@ import numpy as np
 from . import glm, screening as scr
 from .config import SCREENS, PipelineConfig
 from .data_model import SyntheticSpec, TrialDataset, generate_trial
-from .errors import ConfigError, DataError, NestingError, NullSimulationError, NumericalError
+from .errors import (
+    ConfigError, DataError, DegenerateDesignError, NestingError, NullSimulationError, NumericalError
+)
 from .families import Family
 
 
@@ -104,21 +106,25 @@ def test_interaction(
     df is the number of contrast columns kept through the alternative fit,
     so it falls below K where rank repair drops a contrast. That count is the
     df of a nested pair only if both fits keep the same additive columns;
-    otherwise NestingError names the columns kept by one fit alone.
+    otherwise NestingError names the columns kept by one fit alone. A pair
+    left with no contrast to test raises DegenerateDesignError.
     """
     d2 = scr.stage2_dataset(data, screen)
     null_design = glm.build_additive_design(d2)
     null_fit = glm.fit(null_design, d2.y, family, start=_screening_start(screen, null_design))
     alt_fit = glm.fit(glm.build_interaction_design(d2), d2.y, family)
-    m = len(null_fit.origin)  # the alternative's first m columns are the null's, in order
+    m = null_fit.coefficients.shape[0]  # the alternative's first m columns are the null's, in order
     null_drops = set(null_fit.dropped_columns)
     alt_drops = {k for k in alt_fit.dropped_columns if k < m}
     if null_drops != alt_drops:
-        origin = null_fit.origin
+        names = [*d2.candidate_names, "arm A", "arm B", *d2.adjust_names]
         raise NestingError("additive columns kept by one fit only: null "
-                           f"{[origin[k] for k in sorted(alt_drops - null_drops)]}, alternative "
-                           f"{[origin[k] for k in sorted(null_drops - alt_drops)]}")
-    df = len(alt_fit.role("contrast")[0])
+                           f"{[names[k] for k in sorted(alt_drops - null_drops)]}, alternative "
+                           f"{[names[k] for k in sorted(null_drops - alt_drops)]}")
+    df = d2.p - (len(alt_fit.dropped_columns) - len(alt_drops))
+    if df == 0:
+        raise DegenerateDesignError("rank repair dropped the contrast of every screened "
+                                    f"candidate {list(d2.candidate_names)}: no interaction to test")
     statistic, p_raw = glm.lrt(null_fit, alt_fit, df)
     diffs = glm.standardized_arm_difference(alt_fit, d2.p)
     return InteractionTest(
@@ -271,7 +277,7 @@ def validate_theorem(
             d = scr.stage2_dataset(d, pca_map)
         screen = scr.rank_full_model(d, family, k_screen)  # K is capped at p
         alt_fit = glm.fit(glm.build_interaction_design(d), d.y, family)
-        betas = screen.additive_fit.wald_z(d.p)
+        betas = screen.additive_fit.wald_z()[: d.p]
         diffs = glm.standardized_arm_difference(alt_fit, d.p)
         p_screened = test_interaction(d, family, screen).p_raw
         return betas, diffs, p_screened

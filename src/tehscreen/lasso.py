@@ -177,11 +177,7 @@ def fit_path(
     lambda_min_ratio = 1e-3 if n > p else 1e-2
 
     # Gradient of the penalized block at the null (unpenalized-only) model.
-    null_design = glm.DesignMatrix(
-        matrix=u,
-        origin=tuple(("intercept",) for _ in range(u.shape[1])),
-    )
-    null_fit = glm.fit(null_design, y, family)
+    null_fit = glm.fit(glm.DesignMatrix(matrix=u), y, family)
     mu0 = family.inverse_link(u @ null_fit.coefficients)
     lam_max = float(np.max(np.abs(xs.T @ (y - mu0)) / n, initial=0.0))
     lam_max = max(lam_max, 1e-10)

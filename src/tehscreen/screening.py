@@ -97,17 +97,15 @@ def _order_by_pvalue(pvalues):
     return tuple(sorted(range(len(pvalues)), key=lambda j: (pvalues[j], j)))
 
 
-def _wald_pvalues(fit: glm.GlmFit, p: int):
-    """Two-sided Wald p = erfc(|z| / sqrt(2)) per candidate index; rank-repaired
-    candidates (z is NaN) get p = 1."""
-    sqrt_half = math.sqrt(0.5)
-    return [1.0 if math.isnan(z) else math.erfc(abs(z) * sqrt_half) for z in fit.wald_z(p).tolist()]
+def _wald_p(z: float):
+    """Two-sided Wald p = erfc(|z| / sqrt(2)); a rank-repaired candidate (z is NaN) gets p = 1."""
+    return 1.0 if math.isnan(z) else math.erfc(abs(z) * math.sqrt(0.5))
 
 
 def rank_full_model(data: TrialDataset, family: Family, k: int | None = None) -> ScreeningResult:
     """Order candidates by the Wald p-value of their pooled main effect."""
     fit = glm.fit(glm.build_additive_design(data), data.y, family)
-    pvalues = _wald_pvalues(fit, data.p)
+    pvalues = [_wald_p(z) for z in fit.wald_z()[: data.p].tolist()]
     result = ScreeningResult(
         method="full_model",
         ranking=_order_by_pvalue(pvalues),
@@ -125,17 +123,14 @@ def rank_univariate(data: TrialDataset, family: Family, k: int | None = None) ->
     adjuster, rank repair drops the candidate (p = 1, ranked last), never the
     adjuster.
     """
-    base_cols, base_origin = glm._arm_and_adjust_block(data)
+    base_cols = glm._arm_and_adjust_block(data)
     pvalues = []
     failures = []
     for j in range(data.p):
-        design = glm.make_design(
-            base_cols + [data.x_candidates[:, j]],
-            base_origin + [("candidate", 0)],
-        )
+        design = glm.make_design(base_cols + [data.x_candidates[:, j]])
         try:
             fit = glm.fit(design, data.y, family)
-            pvalues.append(_wald_pvalues(fit, 1)[0])
+            pvalues.append(_wald_p(fit.wald_z()[-1]))
         except TehScreenError as exc:
             pvalues.append(np.inf)  # fit failure ranks last
             failures.append({"candidate": j, "error": str(exc)})
@@ -291,9 +286,7 @@ def irm_risk_projection(
     if include_treatment:
         design = glm.build_additive_design(data)
     else:
-        cols = [data.x_candidates[:, j] for j in range(data.p)] + [np.ones(data.n)]
-        origin = [("candidate", j) for j in range(data.p)] + [("intercept",)]
-        design = glm.make_design(cols, origin)
+        design = glm.make_design([data.x_candidates, np.ones(data.n)])
     beta = glm.fit(design, data.y, family).coefficients[: data.p]  # candidates lead, zero at drops
     return ScreeningResult(
         method="irm",

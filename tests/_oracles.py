@@ -213,7 +213,7 @@ def lasso_path_cd(xs, u, y, binomial, lambdas, alpha0):
 
 
 def design_columns(data, interaction):
-    """Pre-repair design, one column at a time: (matrix, origin).
+    """Pre-repair design matrix, one column at a time.
 
     Additive: [candidates | arm-A intercept | arm-B intercept | adjusters];
     interaction: the arm-specific layout [candidate j times t | candidate j
@@ -227,32 +227,27 @@ def design_columns(data, interaction):
     x = data.x_candidates
     if interaction:
         columns = [x[:, j] * t for j in range(data.p)] + [x[:, j] * not_t for j in range(data.p)]
-        origin = [("arm_candidate", arm, j) for arm in "AB" for j in range(data.p)]
     else:
         columns = [x[:, j] for j in range(data.p)]
-        origin = [("candidate", j) for j in range(data.p)]
     columns += [t, not_t] + [data.x_adjust[:, j] for j in range(data.p_c)]
-    origin += [("arm_intercept", "A"), ("arm_intercept", "B")] + [("adjust", j) for j in range(data.p_c)]
-    return np.column_stack(columns), origin
+    return np.column_stack(columns)
 
 
 def arm_difference_loop(fit, k):
     """(betaA - betaB) / SE one coordinate at a time on an arm-specific fit.
 
-    The fit is of the ``design_columns(..., interaction=True)`` layout, whose
-    origins ("arm_candidate", arm, j) this reads from ``fit.origin`` itself.
-    NaN where an arm column is gone; raises the library's
+    The fit is of the ``design_columns(..., interaction=True)`` layout, so
+    candidate j's arm-A column is column j and its arm-B column is column
+    k + j. NaN where an arm column is gone; raises the library's
     DegenerateVarianceError at the first coordinate with SE^2 <= 0.
     """
     dropped = set(fit.dropped_columns)
-    arm = {o[1:]: c for c, o in enumerate(fit.origin)
-           if o[0] == "arm_candidate" and c not in dropped}
     out = np.full(k, np.nan)
     coef, cov = fit.coefficients, fit.covariance
     for j in range(k):
-        if ("A", j) not in arm or ("B", j) not in arm:
+        ia, ib = j, k + j
+        if ia in dropped or ib in dropped:
             continue
-        ia, ib = arm["A", j], arm["B", j]
         se2 = cov[ia, ia] + cov[ib, ib] - 2.0 * cov[ia, ib]
         if se2 <= 0.0:
             raise DegenerateVarianceError(f"zero variance for arm difference at coordinate {j}")

@@ -241,6 +241,31 @@ def test_cli_exits_4_when_a_candidate_separates_the_outcome(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_exits_3_when_rank_repair_leaves_no_contrast_to_test(tmp_path, capsys):
+    # K = 1 and the top-ranked candidate is constant within arm A, so its
+    # contrast x1 t = 0.7 t lies in the arm-A intercept's span and rank
+    # repair drops it: the nested pair has 0 df, a design defect.
+    d = ts.generate_trial(ts.SyntheticSpec(n=200, p=3, family=ts.BINOMIAL,
+                                           main_effects=(1.5, -0.5, 0.3),
+                                           treatment_effect=0.3, seed=11))
+    x = d.x_candidates.copy()
+    x[d.treatment == 1, 0] = 0.7
+    data_path = tmp_path / "flat.csv"
+    ts.write_csv(d.derive(x_candidates=x, candidate_names=d.candidate_names), data_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg = minimal_cfg(family="binomial", k_rule={"rule": "fixed", "k": 1})
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.json"
+    rc = cli.main(["analyze", "--config", str(cfg_path), "--data", str(data_path),
+                   "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DegenerateDesignError"
+    assert err["message"] == ("rank repair dropped the contrast of every screened candidate "
+                              "['x1']: no interaction to test")
+    assert not out.exists()
+
+
 def test_report_json_maps_a_non_finite_numpy_scalar_to_null():
     payload = {"a": np.float64("nan"), "b": [np.float32("inf"), np.float64(0.5), np.int64(3)]}
     assert cli._jsonable(payload) == {"a": None, "b": [None, 0.5, 3]}

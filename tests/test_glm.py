@@ -20,11 +20,9 @@ from tehscreen.errors import (
 from _oracles import arm_difference_loop, design_columns, newton_logistic, ols_rss
 
 
-def manual_design(columns, kinds=None):
+def manual_design(columns):
     """Design matrix straight from columns, bypassing the trial builders."""
-    matrix = np.column_stack(columns)
-    kinds = kinds or [("candidate", j) for j in range(matrix.shape[1])]
-    return glm.DesignMatrix(matrix=matrix, origin=tuple(kinds))
+    return glm.DesignMatrix(matrix=np.column_stack(columns))
 
 
 def toy_dataset(n=60, p=3, p_c=0, family=ts.GAUSSIAN, seed=0, **kw):
@@ -52,9 +50,7 @@ def test_additive_design_layout():
     )
     design = ts.build_additive_design(d)
     assert design.matrix.shape[1] == 4
-    assert design.origin == (
-        ("candidate", 0), ("candidate", 1), ("arm_intercept", "A"), ("arm_intercept", "B")
-    )
+    assert np.array_equal(design.matrix[:, :2], d.x_candidates)
     assert np.array_equal(design.matrix[:, 2], [1, 0, 1, 0])
     assert np.array_equal(design.matrix[:, 3], [0, 1, 0, 1])
 
@@ -96,10 +92,9 @@ def test_cholesky_fast_path_keeps_the_columns_of_the_sequential_fallback(seed, w
         if log_noise is not None:
             column = column + 10.0**log_noise * rng.standard_normal(n)
         columns.append(column)
-    origin = [("candidate", j) for j in range(len(columns))]
-    design = glm.make_design(columns, origin)
+    design = glm.make_design(columns)
     with mock.patch.object(np.linalg, "cholesky", side_effect=np.linalg.LinAlgError):
-        sequential = glm.make_design(columns, origin)
+        sequential = glm.make_design(columns)
     assert design.dropped_columns == sequential.dropped_columns
     assert design.dropped_columns == tuple(range(width, len(columns)))
 
@@ -108,7 +103,7 @@ def test_additive_design_appends_adjusters():
     d = toy_dataset(n=40, p=2, p_c=1)
     design = ts.build_additive_design(d)
     assert design.matrix.shape[1] == 5
-    assert design.origin[-1] == ("adjust", 0)
+    assert np.array_equal(design.matrix[:, -1], d.x_adjust[:, 0])
 
 
 def test_interaction_design_masks_by_arm():
@@ -121,10 +116,22 @@ def test_interaction_design_masks_by_arm():
     )
     design = ts.build_interaction_design(d)
     assert np.array_equal(design.matrix[:, 0], [a, b, c, e])
+    assert np.array_equal(design.matrix[:, 1], [1, 1, 0, 0])
+    assert np.array_equal(design.matrix[:, 2], [0, 0, 1, 1])
     assert np.array_equal(design.matrix[:, 3], [a, b, 0, 0])
-    assert design.origin == (
-        ("candidate", 0), ("arm_intercept", "A"), ("arm_intercept", "B"), ("contrast", 0)
-    )
+
+
+@pytest.mark.parametrize("n, n_a", [(40, 20), (37, 9), (12, 11)])
+def test_interaction_design_orders_arm_a_rows_first_like_a_stable_argsort(n, n_a):
+    rng = np.random.default_rng(n)
+    t = rng.permutation(np.repeat([1, 0], [n_a, n - n_a]))
+    d = ts.TrialDataset(y=rng.standard_normal(n), treatment=t,
+                        x_candidates=rng.standard_normal((n, 2)), x_adjust=np.empty((n, 0)))
+    design = ts.build_interaction_design(d)
+    order, rows_a, additive = design.arms
+    assert np.array_equal(order, np.argsort(-t.astype(float), kind="stable"))
+    assert rows_a == n_a
+    assert np.array_equal(additive, design.matrix[order, :4])  # [x1 x2 | arm A | arm B]
 
 
 @pytest.mark.parametrize("interaction", [False, True])
@@ -135,16 +142,14 @@ def test_design_builders_match_the_column_by_column_oracle(interaction, duplicat
         d = d.derive(x_candidates=np.column_stack([d.x_candidates, d.x_candidates[:, 1]]),
                      candidate_names=())
     design = (ts.build_interaction_design if interaction else ts.build_additive_design)(d)
-    matrix, origin = design_columns(d, interaction=False)
+    matrix = design_columns(d, interaction=False)
     if interaction:  # the additive layout plus candidate j times t, column by column
         t = d.treatment.astype(float)
         matrix = np.column_stack([matrix] + [d.x_candidates[:, j] * t for j in range(d.p)])
-        origin = origin + [("contrast", j) for j in range(d.p)]
     dropped = ((4, 13) if interaction else (4,)) if duplicate else ()
     assert design.dropped_columns == dropped
     assert np.array_equal(design.matrix, matrix)  # dropped columns stay: one layout
     assert design.matrix.flags.c_contiguous
-    assert design.origin == tuple(origin)
     assert bool(design.arms) == interaction
     assert ts.fit(design, d.y, ts.GAUSSIAN).dropped_columns == dropped
     additive = ts.build_additive_design(d)  # the interaction design extends it bit for bit
@@ -369,15 +374,14 @@ def test_repaired_designs_fit_like_xtwx_fits_of_their_kept_columns(family, fixtu
     fits, oracles = [], []
     for design in (ts.build_additive_design(d), ts.build_interaction_design(d)):
         kept = [k for k in range(design.matrix.shape[1]) if k not in design.dropped_columns]
-        compact = glm.DesignMatrix(matrix=np.ascontiguousarray(design.matrix[:, kept]),
-                                   origin=tuple(design.origin[k] for k in kept))
+        compact = glm.DesignMatrix(matrix=np.ascontiguousarray(design.matrix[:, kept]))
         fit, oracle = ts.fit(design, d.y, family), ts.fit(compact, d.y, family)
         assert fit.dropped_columns == design.dropped_columns and oracle.dropped_columns == ()
         assert np.allclose(fit.coefficients[kept], oracle.coefficients, rtol=1e-10, atol=1e-12)
         fits.append(fit)
         oracles.append(oracle)
-    df = len(fits[1].role("contrast")[0])
-    assert df == len(oracles[1].role("contrast")[0])
+    df = _kept_contrasts(fits[1], d.p)
+    assert df == _kept_width(oracles[1]) - _kept_width(oracles[0])
     assert ts.lrt(*fits, df)[1] == pytest.approx(ts.lrt(*oracles, df)[1], rel=1e-12)
 
 
@@ -438,7 +442,7 @@ def test_gaussian_fit_ignores_a_start():
 
 
 def test_loglik_all_half_probabilities():
-    design = manual_design([np.ones(4)], kinds=[("intercept",)])
+    design = manual_design([np.ones(4)])
     y = np.array([1.0, 1.0, 0.0, 0.0])
     fit = ts.fit(design, y, ts.BINOMIAL)
     assert fit.log_likelihood == pytest.approx(4 * np.log(0.5), abs=1e-10)
@@ -537,7 +541,7 @@ def test_lrt_gaussian_closed_form():
     n = 40
     x = rng.standard_normal(n)
     y = 0.7 * x + rng.standard_normal(n)
-    null_design = manual_design([np.ones(n)], kinds=[("intercept",)])
+    null_design = manual_design([np.ones(n)])
     alt_design = manual_design([x, np.ones(n)])
     null_fit = ts.fit(null_design, y, ts.GAUSSIAN)
     alt_fit = ts.fit(alt_design, y, ts.GAUSSIAN)
@@ -635,6 +639,12 @@ def _kept_width(fit):
     return fit.coefficients.shape[0] - len(fit.dropped_columns)
 
 
+def _kept_contrasts(fit, k):
+    """How many of the interaction fit's last ``k`` columns, its contrasts, the fit kept."""
+    q = fit.coefficients.shape[0]
+    return sum(c not in fit.dropped_columns for c in range(q - k, q))
+
+
 @pytest.mark.parametrize("family", [ts.GAUSSIAN, ts.BINOMIAL])
 @pytest.mark.parametrize("duplicate", [False, True])
 def test_arm_difference_equals_the_scalar_loop(family, duplicate):
@@ -649,15 +659,14 @@ def test_arm_difference_equals_the_scalar_loop(family, duplicate):
                          candidate_names=())
         null_fit = ts.fit(ts.build_additive_design(d), d.y, family)
         fit = ts.fit(ts.build_interaction_design(d), d.y, family)
-        matrix, origin = design_columns(d, interaction=True)
-        arm_fit = ts.fit(glm.make_design([matrix], origin), d.y, family)
+        arm_fit = ts.fit(glm.make_design([design_columns(d, interaction=True)]), d.y, family)
         diffs = ts.standardized_arm_difference(fit, d.p)
         oracle = arm_difference_loop(arm_fit, d.p)
         assert np.isnan(diffs).tolist() == [False] * 3 + [True] * duplicate
         assert np.array_equal(np.isnan(diffs), np.isnan(oracle))
         assert _relative_error(diffs[:3], oracle[:3]) <= 1e-10
 
-        df = len(fit.role("contrast")[0])
+        df = _kept_contrasts(fit, d.p)
         arm_df = _kept_width(arm_fit) - _kept_width(null_fit)
         assert df == arm_df == 3
         statistic, p = ts.lrt(null_fit, fit, df)
@@ -669,20 +678,18 @@ def test_arm_difference_zero_variance_names_the_first_coordinate():
     # The same degenerate case in both parameterizations: contrasts 1 and 2
     # have zero SE, and in the arm-specific layout Var(A) = Var(B) = Cov(A, B).
     k = 3
-    origin = tuple(("arm_candidate", arm, j) for arm in "AB" for j in range(k))
     covariance = np.eye(2 * k)
     for j in (1, 2):
         covariance[j, k + j] = covariance[k + j, j] = 1.0
     arm_fit = glm.GlmFit(
         coefficients=np.arange(2.0 * k), covariance=covariance, std_errors=np.ones(2 * k),
-        log_likelihood=0.0, deviance=0.0, iterations=1, origin=origin,
+        log_likelihood=0.0, deviance=0.0, iterations=1,
     )
     std_errors = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
     fit = glm.GlmFit(
         coefficients=np.arange(2.0 * k), covariance=np.diag(std_errors**2),
         std_errors=std_errors, log_likelihood=0.0, deviance=0.0, iterations=1,
-        origin=tuple((role, j) for role in ("candidate", "contrast") for j in range(k)),
-    )
+    )  # [candidates | contrasts]: contrasts 1 and 2 have zero SE
     with pytest.raises(DegenerateVarianceError) as oracle:
         arm_difference_loop(arm_fit, k)
     with pytest.raises(DegenerateVarianceError, match="coordinate 1$") as err:
@@ -702,8 +709,8 @@ def test_candidate_constant_in_one_arm_loses_its_contrast(family):
     d = d.derive(x_candidates=x, candidate_names=d.candidate_names)
     screen = ts.ScreeningResult(method="full_model", ranking=(0, 1, 2), k_selected=3)
     alt_fit = ts.fit(ts.build_interaction_design(d), d.y, family)
-    assert alt_fit.role("contrast")[0] == (0, 2)
-    assert alt_fit.role("arm_intercept")[0] == ("A", "B")
+    # [x0 x1 x2 | arm A | arm B | contrasts 0-2]: only contrast 1 drops.
+    assert alt_fit.dropped_columns == (6,)
     test = ts.test_interaction(d, family, screen)
     assert np.isnan(test.standardized_differences).tolist() == [False, True, False]
     assert test.df == 2

@@ -58,8 +58,7 @@ def _return_values():
     ))
     t = d.treatment.astype(float)
     columns = [d.x_candidates[:, 0], d.x_candidates[:, 0], t, 1.0 - t]  # one duplicate drops
-    origin = [("candidate", 0), ("candidate", 1), ("arm_intercept", "A"), ("arm_intercept", "B")]
-    design = glm.make_design(columns, origin)
+    design = glm.make_design(columns)
     model = boosting.fit_boost(d, ts.BINOMIAL, n_trees=20, shrinkage=0.1)
     return {
         "glm.make_design": design,

@@ -48,11 +48,9 @@ def test_full_model_pvalues_equal_scalar_norm_sf_oracle(family):
                  candidate_names=(*d.candidate_names, "dup"))
     design = ts.build_additive_design(d)
     fit = ts.fit(design, d.y, family)
-    column = {o[1]: k for k, o in enumerate(design.origin)
-              if o[0] == "candidate" and k not in design.dropped_columns}
-    oracle = [
-        float(2.0 * norm.sf(abs(fit.coefficients[column[j]] / fit.std_errors[column[j]])))
-        if j in column else 1.0
+    oracle = [  # candidate j is column j
+        float(2.0 * norm.sf(abs(fit.coefficients[j] / fit.std_errors[j])))
+        if j not in design.dropped_columns else 1.0
         for j in range(d.p)
     ]
     # One layout: candidates 0-5, then the arm intercepts; the duplicate (5) drops.
